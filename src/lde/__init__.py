@@ -34,6 +34,7 @@ from .ngram import (
 )
 from .pack import (
     LanguagePack,
+    MalformedPackError,
     NotAPackError,
     PackChecksumError,
     PackError,
@@ -45,7 +46,6 @@ from .pack import (
 )
 from .selector import (
     LOG_HALF,
-    FeatureRow,
     SelectorParams,
     Threshold,
     adjusted_log_prob,
@@ -67,10 +67,10 @@ __all__ = [
     "EngineConfig",
     "EngineState",
     "EvalReport",
-    "FeatureRow",
     "LOG_HALF",
     "LanguagePack",
     "LruCache",
+    "MalformedPackError",
     "NotAPackError",
     "PackChecksumError",
     "PackError",

@@ -24,7 +24,7 @@ from .ngram import (
     perplexity,
     train_trigram,
 )
-from .pack import PackError, read_pack, write_pack
+from .pack import LanguagePack, PackError, read_pack, write_pack
 from .selector import (
     SelectorParams,
     build_training_set,
@@ -222,27 +222,25 @@ def cmd_pack(args) -> int:
     return EXIT_OK
 
 
-def _load_packs(packs_dir: str, langs: list[str] | None) -> dict[str, Path]:
-    """Map language code -> pack path, in engine registration order."""
+def _load_packs(packs_dir: str, langs: list[str] | None) -> dict[Path, LanguagePack]:
+    """Read each pack once: the `langs` packs in that order, else every
+    pack in the directory.  Keyed by path, in engine registration order."""
     pack_dir = Path(packs_dir)
     if langs is None:
         paths = sorted(pack_dir.glob("*.ldep"))
         if not paths:
             raise ValueError(f"no .ldep packs in {packs_dir}")
-        return {read_pack(p).language: p for p in paths}
-    found = {}
-    for lang in langs:
-        path = pack_dir / f"{lang}.ldep"
-        if not path.exists():
-            raise ValueError(f"missing pack {path}")
-        found[lang] = path
-    return found
+    else:
+        paths = [pack_dir / f"{lang}.ldep" for lang in langs]
+        for path in paths:
+            if not path.exists():
+                raise ValueError(f"missing pack {path}")
+    return {path: read_pack(path) for path in paths}
 
 
 def _load_engine(packs_dir: str, langs: list[str] | None, r: float) -> Engine:
-    paths = _load_packs(packs_dir, langs)
-    packs = [read_pack(path) for path in paths.values()]
-    config = EngineConfig(languages=list(paths), r=r)
+    packs = list(_load_packs(packs_dir, langs).values())
+    config = EngineConfig(languages=langs or [pack.language for pack in packs], r=r)
     return Engine(packs, config)
 
 
@@ -326,10 +324,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    pack_paths = _load_packs(args.packs, None)
+    loaded = _load_packs(args.packs, None)
     engine = Engine(
-        [read_pack(path) for path in pack_paths.values()],
-        EngineConfig(languages=list(pack_paths)),
+        list(loaded.values()),
+        EngineConfig(languages=[pack.language for pack in loaded.values()]),
     )
     contexts = [line for line in _read_lines(args.contexts) if line.strip()]
     if not contexts:
@@ -354,7 +352,7 @@ def cmd_bench(args) -> int:
             gc.enable()
 
     samples_us = sorted(ns / 1000.0 for ns in samples_ns)
-    pack_sizes = {lang: path.stat().st_size for lang, path in pack_paths.items()}
+    pack_sizes = {pack.language: path.stat().st_size for path, pack in loaded.items()}
     _print_json(
         {
             "iters": args.iters,

@@ -20,7 +20,7 @@ from typing import Sequence
 from .ngram import DEFAULT_RECENCY, WHITESPACE, _CharTable, normalize_text
 from .pack import LanguagePack
 from .selector import LOG_HALF, select_language
-from .trie import Trie
+from .trie import trie_from_pairs
 
 
 def _strip_class(ch: str):
@@ -146,7 +146,7 @@ class LruCache:
 class EngineState:
     """Per-typing-session state; not safe for concurrent mutation."""
 
-    cache: LruCache
+    cache: LruCache  # context -> (language the answer depends on or None, Detection)
     current_language: str
 
 
@@ -172,10 +172,9 @@ class Engine:
         self.packs: dict[str, LanguagePack] = {
             lang: by_lang[lang] for lang in config.languages
         }
-        self.proper_nouns = Trie()
-        for pack in self.packs.values():
-            for word, weight in pack.proper_nouns.items():
-                self.proper_nouns.insert(word, weight)
+        self.proper_nouns = trie_from_pairs(
+            pair for pack in self.packs.values() for pair in pack.proper_nouns.items()
+        )
 
     @property
     def languages(self) -> tuple[str, ...]:
@@ -211,10 +210,12 @@ class Engine:
 
         tokens = context_tokens(text, self.config)
         key = " ".join(tokens)
+        current = state.current_language
         cached = state.cache.get(key)
-        if cached is not None:
-            state.current_language = cached.language
-            return Detection(cached.language, cached.scores, DetectionPath.CACHE_HIT)
+        if cached is not None and cached[0] in (None, current):
+            hit = cached[1]
+            state.current_language = hit.language
+            return Detection(hit.language, hit.scores, DetectionPath.CACHE_HIT)
 
         last = tokens[-1]
         if last in self.proper_nouns:
@@ -230,7 +231,11 @@ class Engine:
                     language, scores, DetectionPath.FALLBACK
                 )
 
-        state.cache.put(key, detection)
+        # a normal answer depends on the context alone; fallback copies the
+        # current language and typo rescue skips it, so every other answer
+        # is reused only in the language it was computed in
+        normal = detection.path is DetectionPath.NORMAL
+        state.cache.put(key, (None if normal else current, detection))
         state.current_language = detection.language
         return detection
 

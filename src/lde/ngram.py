@@ -141,7 +141,6 @@ class TrigramModel:
     alphabet: Alphabet
     table: list[float]
     alpha: float
-    order: int = 3
     reads: int = field(default=0, compare=False)
 
     def __post_init__(self):

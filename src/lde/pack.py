@@ -22,7 +22,7 @@ import numpy as np
 
 from .ngram import Alphabet, TrigramModel
 from .selector import Threshold
-from .trie import Trie
+from .trie import Trie, trie_from_pairs
 
 MAGIC = b"LDEPACK1"
 FORMAT_VERSION = 1
@@ -47,6 +47,10 @@ class PackChecksumError(PackError):
 
 class TruncatedPackError(PackError):
     pass
+
+
+class MalformedPackError(PackError):
+    """The payload's checksum holds but a field's value is invalid."""
 
 
 class PackSizes(NamedTuple):
@@ -119,7 +123,10 @@ class _Reader:
         return struct.unpack("<d", self.take(8))[0]
 
     def string(self) -> str:
-        return self.take(self.u16()).decode("utf-8")
+        try:
+            return self.take(self.u16()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedPackError(f"string is not UTF-8: {exc}") from exc
 
     def at_end(self) -> bool:
         return self._pos == len(self._data)
@@ -185,8 +192,9 @@ def read_pack(path) -> LanguagePack:
     """Load and validate one language pack.
 
     Failure modes are distinct: wrong magic, unsupported version, checksum
-    mismatch (or a corrupt compressed stream), and truncation each raise
-    their own error type.  Loading never needs any other pack.
+    mismatch (or a corrupt compressed stream), truncation, and an invalid
+    field value each raise their own `PackError` subclass.  Loading never
+    needs any other pack.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -219,24 +227,26 @@ def read_pack(path) -> LanguagePack:
     if version != FORMAT_VERSION:
         raise PackVersionError(f"unsupported pack version {version}")
     language = reader.string()
-    alphabet = Alphabet(tuple(reader.string()))
+    symbols = reader.string()
+    try:
+        alphabet = Alphabet(tuple(symbols))
+    except ValueError as exc:
+        raise MalformedPackError(f"bad alphabet {symbols!r}: {exc}") from exc
     alpha, lo, scale = struct.unpack("<ddd", reader.take(24))
     v = alphabet.size
     q = np.frombuffer(reader.take(v * v * v * 2), dtype="<u2")
     table = dequantize_table(lo, scale, q)
     tau = reader.f64()
 
-    lexicon = Trie()
-    for _ in range(reader.u32()):
-        word = reader.string()
-        weight = reader.u32()
-        lexicon.insert(word, weight)
-
-    proper_nouns = Trie()
-    for _ in range(reader.u32()):
-        proper_nouns.insert(reader.string())
+    try:
+        lexicon = trie_from_pairs(
+            (reader.string(), reader.u32()) for _ in range(reader.u32())
+        )
+        proper_nouns = trie_from_pairs((reader.string(), 1) for _ in range(reader.u32()))
+    except ValueError as exc:  # an empty word
+        raise MalformedPackError(f"bad lexicon or proper-noun record: {exc}") from exc
     if not reader.at_end():
-        raise PackError("unparsed bytes at end of payload")
+        raise MalformedPackError("unparsed bytes at end of payload")
 
     model = TrigramModel(language=language, alphabet=alphabet, table=table, alpha=alpha)
     return LanguagePack(
@@ -280,6 +290,7 @@ __all__ = [
     "PackVersionError",
     "PackChecksumError",
     "TruncatedPackError",
+    "MalformedPackError",
     "write_pack",
     "read_pack",
     "make_pack",

@@ -40,15 +40,6 @@ class Threshold:
     tau: float
 
 
-@dataclass(frozen=True)
-class FeatureRow:
-    """One labeled training word with its per-language emission vector."""
-
-    word: str
-    label: str
-    emissions: dict[str, float]
-
-
 def emission_vector(models: Mapping[str, TrigramModel], word: str) -> dict[str, float]:
     """Emission log-probability of `word` under every language's model."""
     return {lang: model.word_log_prob(word) for lang, model in models.items()}

@@ -1,8 +1,10 @@
-"""Prefix-tree vocabulary storage with edit-distance-1 search.
+"""Vocabulary storage with edit-distance-1 search.
 
 Used for two things at detection time: exact membership checks (is this
 token a valid word / a listed proper noun) and fetching auto-correction
-candidates one edit away from a typo.
+candidates one edit away from a typo.  Words live in a dict from word to
+weight; candidates are generated from the query, in the manner of
+Norvig's spelling corrector, and looked up in that dict.
 """
 
 from __future__ import annotations
@@ -12,106 +14,75 @@ from typing import Iterable, Iterator
 from .ngram import normalize_text
 
 
-class _Node:
-    __slots__ = ("children", "terminal", "weight")
-
-    def __init__(self):
-        self.children: dict[str, _Node] = {}
-        self.terminal = False
-        self.weight = 0
-
-
 class Trie:
-    """Character trie; weights accumulate on repeated insertion."""
+    """Word -> weight lexicon; weights accumulate on repeated insertion.
+
+    Besides the words it keeps the set of letters they use.  No word holds
+    a letter outside that set, which bounds the edit-1 search.
+    """
 
     def __init__(self):
-        self._root = _Node()
-        self._words = 0
-        self._nodes = 1
-        # nodes touched by the most recent edit1_candidates call
-        self.last_search_visits = 0
+        self._weights: dict[str, int] = {}
+        self._letters: set[str] = set()
 
     def insert(self, word: str, weight: int = 1) -> None:
         if not word:
             raise ValueError("empty word")
-        node = self._root
-        for ch in word:
-            child = node.children.get(ch)
-            if child is None:
-                child = _Node()
-                node.children[ch] = child
-                self._nodes += 1
-            node = child
-        if not node.terminal:
-            node.terminal = True
-            self._words += 1
-        node.weight += weight
+        self._weights[word] = self._weights.get(word, 0) + weight
+        self._letters.update(word)
 
     def contains(self, word: str) -> bool:
-        node = self._root
-        for ch in word:
-            node = node.children.get(ch)
-            if node is None:
-                return False
-        return node.terminal
+        return word in self._weights
 
     __contains__ = contains
 
     def __len__(self) -> int:
-        return self._words
-
-    @property
-    def node_count(self) -> int:
-        return self._nodes
+        return len(self._weights)
 
     def items(self) -> Iterator[tuple[str, int]]:
         """All (word, weight) pairs in lexicographic order."""
-
-        def walk(node: _Node, prefix: str):
-            if node.terminal:
-                yield prefix, node.weight
-            for ch in sorted(node.children):
-                yield from walk(node.children[ch], prefix + ch)
-
-        yield from walk(self._root, "")
+        return iter(sorted(self._weights.items()))
 
     def edit1_candidates(self, word: str, max_results: int = 10) -> list[tuple[str, int]]:
-        """Words in the trie within Levenshtein distance 1 of `word`.
+        """Words in the lexicon within Levenshtein distance 1 of `word`.
 
         Distance 0 (the word itself) counts.  Results are ordered by
         descending weight, then lexicographically, and truncated to
-        `max_results`.  Branches whose running edit distance already
-        exceeds 1 are pruned, so the search touches only a neighborhood
-        of the query.
+        `max_results`.  Only the strings `edit1_probes` generates over the
+        lexicon's own letters are looked up.
         """
         if not word:
             raise ValueError("empty word")
-        found: list[tuple[str, int]] = []
-        visits = 0
-        m = len(word)
-
-        # classic DP-row descent: row[j] = distance between the current
-        # trie prefix and word[:j]
-        def descend(node: _Node, prefix: list[str], row: list[int]):
-            nonlocal visits
-            for ch, child in node.children.items():
-                visits += 1
-                prev = row
-                cur = [prev[0] + 1]
-                for j in range(1, m + 1):
-                    cost = 0 if word[j - 1] == ch else 1
-                    cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost))
-                prefix.append(ch)
-                if child.terminal and cur[m] <= 1:
-                    found.append(("".join(prefix), child.weight))
-                if min(cur) <= 1:
-                    descend(child, prefix, cur)
-                prefix.pop()
-
-        descend(self._root, [], list(range(m + 1)))
-        self.last_search_visits = visits
+        weights = self._weights
+        found = [(w, weights[w]) for w in weights.keys() & edit1_probes(word, self._letters)]
         found.sort(key=lambda item: (-item[1], item[0]))
         return found[:max_results]
+
+
+def edit1_probes(word: str, letters: set[str]) -> list[str]:
+    """Every string over `letters` within one edit of `word` (repeats allowed).
+
+    One edit removes at most one character, so a word holding two or more
+    characters outside `letters` yields nothing, and a word holding one
+    yields only its deletion and its substitutions by each of `letters`.
+    Otherwise every deletion, substitution and insertion is generated, the
+    word itself included.
+    """
+    foreign = [i for i, ch in enumerate(word) if ch not in letters]
+    if len(foreign) > 1:
+        return []
+    if foreign:
+        head, tail = word[: foreign[0]], word[foreign[0] + 1 :]
+        return [head + tail] + [head + ch + tail for ch in letters]
+    probes = [word]
+    for i in range(len(word) + 1):
+        head, tail = word[:i], word[i:]
+        probes += [head + ch + tail for ch in letters]
+        if tail:
+            rest = tail[1:]
+            probes.append(head + rest)
+            probes += [head + ch + rest for ch in letters]
+    return probes
 
 
 def trie_from_pairs(pairs: Iterable[tuple[str, int]]) -> Trie:

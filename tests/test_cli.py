@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+import lde.cli
 from lde.cli import main
+from lde.pack import read_pack
 from lde.evaluation import write_tagged_tsv
 from lde.synth import corpus_lines, disjoint_pair, intra_sentences
 
@@ -316,6 +318,29 @@ class TestBench:
         assert report["mean_us"] > 0
         assert report["p50_us"] <= report["p99_us"]
         assert set(report["pack_bytes"]) == {"aa", "bb"}
+
+
+def test_eval_and_bench_read_each_pack_once(workspace, testset, monkeypatch, capsys, tmp_path):
+    reads = []
+
+    def counting_read_pack(path):
+        reads.append(path)
+        return read_pack(path)
+
+    monkeypatch.setattr(lde.cli, "read_pack", counting_read_pack)
+    contexts = tmp_path / "contexts.txt"
+    contexts.write_text(" ".join(workspace["langs"][0].vocabulary[:2]) + "\n", encoding="utf-8")
+    packs_dir = str(workspace["packs"])
+    packs = sorted(workspace["packs"].glob("*.ldep"))
+    assert len(packs) == 2
+    for argv in (
+        ["eval", "--packs", packs_dir, "--testset", str(testset), "--mode", "intra",
+         "--report", str(tmp_path / "r.json")],
+        ["bench", "--packs", packs_dir, "--contexts", str(contexts), "--iters", "10"],
+    ):
+        reads.clear()
+        assert main(argv) == 0
+        assert sorted(reads) == packs
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

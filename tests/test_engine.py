@@ -180,6 +180,24 @@ class TestDetect:
         assert second.language == first.language
         assert second.scores == first.scores
 
+    def test_cache_hit_matches_a_fresh_state(self, bilingual):
+        engine = bilingual.engine
+        state = engine.new_state()
+        first = engine.detect("gifhlzq", state)
+        assert (first.language, first.path) == ("aa", DetectionPath.FALLBACK)
+        fresh = engine.new_state()
+        fresh.current_language = "bb"
+        expected = engine.detect("gifhlzq", fresh)
+        assert (expected.language, expected.path) == ("bb", DetectionPath.FALLBACK)
+        # a fallback answer follows the current language, so it is not reused
+        state.current_language = "bb"
+        assert engine.detect("gifhlzq", state) == expected
+        # a normal answer depends on the context alone and is reused
+        normal = " ".join(bilingual.lang_a.vocabulary[:2])
+        assert engine.detect(normal, state).path is DetectionPath.NORMAL
+        state.current_language = "bb"
+        assert engine.detect(normal, state).path is DetectionPath.CACHE_HIT
+
     def test_second_call_reads_no_tables(self):
         engine = two_language_engine()
         state = engine.new_state()

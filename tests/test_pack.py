@@ -8,6 +8,7 @@ import pytest
 from lde import (
     Engine,
     EngineConfig,
+    MalformedPackError,
     NotAPackError,
     PackChecksumError,
     PackError,
@@ -140,6 +141,15 @@ class TestErrorPaths:
         with pytest.raises(TruncatedPackError):
             read_pack(path)
 
+    def rewrite_payload(self, path, old: bytes, new: bytes):
+        """Replace the last `old` in the payload and keep the checksum valid."""
+        payload = zlib.decompressobj().decompress(path.read_bytes()[8:])
+        at = payload.rindex(old)
+        payload = payload[:at] + new + payload[at + len(old) :]
+        path.write_bytes(
+            MAGIC + zlib.compress(payload, 9) + struct.pack("<I", zlib.crc32(payload))
+        )
+
     def test_version_mismatch(self, sample_inputs, tmp_path):
         path = self.write_sample(sample_inputs, tmp_path)
         data = path.read_bytes()
@@ -151,6 +161,21 @@ class TestErrorPaths:
         )
         path.write_bytes(rebuilt)
         with pytest.raises(PackVersionError, match="99"):
+            read_pack(path)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (b"\x03\x00abc", b"\x03\x00a\xffc", "not UTF-8"),  # lexicon word
+            (b"\x09\x00 abcdefgh", b"\x09\x00 a cdefgh", "whitespace"),  # alphabet
+            (b"\x03\x00abc", b"\x00\x00", "empty word"),  # lexicon word
+        ],
+        ids=["bad-utf8", "repeated-space", "empty-word"],
+    )
+    def test_invalid_field_value(self, sample_inputs, tmp_path, old, new, message):
+        path = self.write_sample(sample_inputs, tmp_path)
+        self.rewrite_payload(path, old, new)
+        with pytest.raises(MalformedPackError, match=message):
             read_pack(path)
 
     def test_missing_file(self, tmp_path):

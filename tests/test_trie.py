@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
 
+import lde.trie
 from lde.trie import (
     Trie,
+    edit1_probes,
     lexicon_from_lines,
     load_lexicon,
     load_word_list,
@@ -105,6 +108,8 @@ class TestEdit1Candidates:
     def test_brute_force_equivalence(self):
         rng = random.Random(31)
         letters = "abcdefg"
+        foreign_letters = "xyz"  # never in the lexicon
+        seen = set()
         for trial in range(30):
             words = {
                 "".join(rng.choices(letters, k=rng.randint(1, 8)))
@@ -114,22 +119,69 @@ class TestEdit1Candidates:
             for word in words:
                 trie.insert(word, rng.randint(1, 50))
             weights = dict(trie.items())
-            for _ in range(6):
-                query = "".join(rng.choices(letters, k=rng.randint(1, 9)))
+            for foreign in (0, 0, 1, 1, 2, 3):
+                # a lexicon word or a random string, with `foreign` letters
+                # from outside the lexicon substituted or inserted
+                if rng.random() < 0.5:
+                    query = list(rng.choice(sorted(words)))
+                else:
+                    query = rng.choices(letters, k=rng.randint(1, 9))
+                for _ in range(foreign):
+                    native = [i for i, ch in enumerate(query) if ch in letters]
+                    if native and rng.random() < 0.5:
+                        query[rng.choice(native)] = rng.choice(foreign_letters)
+                    else:
+                        query.insert(rng.randint(0, len(query)), rng.choice(foreign_letters))
+                query = "".join(query)
+                assert sum(ch in foreign_letters for ch in query) == foreign
                 got = {w for w, _ in trie.edit1_candidates(query, max_results=10_000)}
                 expected = {w for w in words if levenshtein(query, w) <= 1}
                 assert got == expected
+                seen.add((min(foreign, 2), bool(expected)))
                 ranked = trie.edit1_candidates(query, max_results=10_000)
                 assert ranked == sorted(ranked, key=lambda it: (-it[1], it[0]))
                 assert all(weights[w] == wt for w, wt in ranked)
+        # hits and misses at 0 and 1 foreign letters, misses at 2+
+        assert seen == {(0, True), (0, False), (1, True), (1, False), (2, False)}
 
-    def test_search_is_pruned(self):
+    def test_probes_are_exactly_the_edit1_neighborhood(self):
+        letters = {"a", "b", "c"}
+        for query in ("b", "ab", "cab", "x", "xa", "axb", "cabx", "xx", "axbx"):
+            probes = edit1_probes(query, letters)
+            expected = {
+                "".join(chars)
+                for n in range(max(0, len(query) - 1), len(query) + 2)
+                for chars in itertools.product(sorted(letters), repeat=n)
+                if levenshtein(query, "".join(chars)) <= 1
+            }
+            assert set(probes) == expected, query
+
+    def test_search_is_pruned(self, monkeypatch):
         rng = random.Random(8)
         trie = Trie()
         for _ in range(5000):
             trie.insert("".join(rng.choices("abcdefghij", k=rng.randint(3, 9))))
-        trie.edit1_candidates("zzzzzzzzzzzzzzzzzzzz")
-        assert trie.last_search_visits < trie.node_count
+        lookups = []
+
+        def probes(word, letters):
+            generated = edit1_probes(word, letters)
+            lookups.append(len(generated))
+            return generated
+
+        monkeypatch.setattr(lde.trie, "edit1_probes", probes)
+        # two or more letters the lexicon never uses: no lookup at all
+        assert trie.edit1_candidates("zzzzzzzzzzzzzzzzzzzz") == []
+        assert trie.edit1_candidates("abzcdz") == []
+        assert lookups == [0, 0]
+        for _ in range(100):
+            word = "".join(rng.choices("abcdefghij", k=rng.randint(1, 12)))
+            n = len(word)
+            pos = rng.randint(0, n)
+            trie.edit1_candidates(word)
+            trie.edit1_candidates(word[:pos] + "z" + word[pos:])
+            # the word, its deletions, substitutions and insertions; with one
+            # foreign letter, only its deletion and substitutions
+            assert lookups[-2:] == [1 + n + n * 10 + (n + 1) * 10, 1 + 10]
 
 
 class TestLexiconFiles:
