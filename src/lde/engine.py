@@ -3,9 +3,11 @@
 Input text is stripped of ideograms and normalized, the trailing context
 window is selected (extending past short tokens), and every loaded
 language scores the context with its recency-weighted trigram model minus
-its threshold.  On top of that sit three heuristics: a session LRU cache
-keyed by the normalized context, proper-noun exclusion, and typo rescue
-for out-of-lexicon tokens one edit away from a word in a non-current
+its threshold: one flat loop (`ngram.sequence_log_probs`) walks every
+token through every pack's table, with no call per pack or per word.  On
+top of that sit three heuristics: a session LRU cache keyed by the
+normalized context, proper-noun exclusion, and typo rescue for
+out-of-lexicon tokens one edit away from a word in a non-current
 language.
 """
 
@@ -15,9 +17,17 @@ import unicodedata
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
-from .ngram import DEFAULT_RECENCY, WHITESPACE, _CharTable, normalize_text
+from .ngram import (
+    DEFAULT_RECENCY,
+    WHITESPACE,
+    _CharTable,
+    normalize_text,
+    scoring_view,
+    sequence_log_probs,
+)
 from .pack import LanguagePack
 from .selector import LOG_HALF, select_language
 from .trie import trie_from_pairs
@@ -101,14 +111,20 @@ class DetectionPath(Enum):
     FALLBACK = "fallback"
 
 
-@dataclass(frozen=True)
-class Detection:
-    """Observable outcome of one detect call."""
+class Detection(NamedTuple):
+    """Observable outcome of one detect call.
+
+    `scores` is read-only: the same mapping is handed out again on every
+    cache hit of its context.
+    """
 
     language: str
-    scores: dict[str, float]
+    scores: Mapping[str, float]
     path: DetectionPath
     corrected: tuple[str, str] | None = None  # (word, language) on typo rescue
+
+
+_NO_SCORES: Mapping[str, float] = MappingProxyType({})
 
 
 class LruCache:
@@ -146,8 +162,9 @@ class LruCache:
 class EngineState:
     """Per-typing-session state; not safe for concurrent mutation."""
 
-    cache: LruCache  # context -> (language the answer depends on or None, Detection)
+    cache: LruCache  # context -> (language it depends on or None, CACHE_HIT Detection)
     current_language: str
+    contexts_scored: int = 0  # score_context calls, each reading every pack's table
 
 
 class Engine:
@@ -175,6 +192,9 @@ class Engine:
         self.proper_nouns = trie_from_pairs(
             pair for pack in self.packs.values() for pair in pack.proper_nouns.items()
         )
+        # what score_context reads per pack, in registration order
+        self._views = tuple(scoring_view(pack.model) for pack in self.packs.values())
+        self._taus = tuple((lang, pack.tau) for lang, pack in self.packs.items())
 
     @property
     def languages(self) -> tuple[str, ...]:
@@ -198,15 +218,13 @@ class Engine:
         """
         r = self.config.r
         mass = sum(r ** k for k in range(len(tokens)))
-        return {
-            lang: pack.model.sequence_log_prob(tokens, r) / mass - pack.tau
-            for lang, pack in self.packs.items()
-        }
+        log_probs = sequence_log_probs(self._views, tokens, r)
+        return {lang: lp / mass - tau for (lang, tau), lp in zip(self._taus, log_probs)}
 
     def detect(self, raw: str, state: EngineState) -> Detection:
         text = strip_symbols(raw)
         if not text:
-            return Detection(state.current_language, {}, DetectionPath.FALLBACK)
+            return Detection(state.current_language, _NO_SCORES, DetectionPath.FALLBACK)
 
         tokens = context_tokens(text, self.config)
         key = " ".join(tokens)
@@ -215,7 +233,7 @@ class Engine:
         if cached is not None and cached[0] in (None, current):
             hit = cached[1]
             state.current_language = hit.language
-            return Detection(hit.language, hit.scores, DetectionPath.CACHE_HIT)
+            return hit
 
         last = tokens[-1]
         if last in self.proper_nouns:
@@ -223,7 +241,9 @@ class Engine:
             detection = Detection(inner.language, inner.scores, DetectionPath.PROPER_NOUN)
         else:
             scores = self.score_context(tokens)
+            state.contexts_scored += 1
             language, passed = select_language(scores, state.current_language)
+            scores = MappingProxyType(scores)
             if passed:
                 detection = Detection(language, scores, DetectionPath.NORMAL)
             else:
@@ -235,7 +255,8 @@ class Engine:
         # current language and typo rescue skips it, so every other answer
         # is reused only in the language it was computed in
         normal = detection.path is DetectionPath.NORMAL
-        state.cache.put(key, (None if normal else current, detection))
+        hit = Detection(detection.language, detection.scores, DetectionPath.CACHE_HIT)
+        state.cache.put(key, (None if normal else current, hit))
         state.current_language = detection.language
         return detection
 
@@ -261,8 +282,12 @@ class Engine:
         language, word = candidates[0]
         corrected = list(tokens[:-1]) + [word]
         rescored = self.score_context(corrected)
+        state.contexts_scored += 1
         if rescored[language] < LOG_HALF:
             return None
         return Detection(
-            language, rescored, DetectionPath.TYPO_RESCUE, corrected=(word, language)
+            language,
+            MappingProxyType(rescored),
+            DetectionPath.TYPO_RESCUE,
+            corrected=(word, language),
         )

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import unicodedata
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 WHITESPACE = " "
 
@@ -133,15 +133,13 @@ class TrigramModel:
     """Dense smoothed conditional log-probability cube for one language.
 
     `table` is flat, row-major over (c_{k-2}, c_{k-1}, c_k) with each axis
-    of length `alphabet.size`.  Immutable after training apart from the
-    `reads` instrumentation counter.
+    of length `alphabet.size`.  Immutable after training.
     """
 
     language: str
     alphabet: Alphabet
     table: list[float]
     alpha: float
-    reads: int = field(default=0, compare=False)
 
     def __post_init__(self):
         v = self.alphabet.size
@@ -170,7 +168,6 @@ class TrigramModel:
             total += table[(prev2 * v + prev1) * v + cur]
             prev2 = prev1
             prev1 = cur
-        self.reads += len(word)
         return total
 
     def sequence_log_prob(self, words: Sequence[str], r: float = DEFAULT_RECENCY) -> float:
@@ -188,6 +185,50 @@ class TrigramModel:
         for k, word in enumerate(words):
             total += r ** (n - 1 - k) * self.word_log_prob(word)
         return total
+
+
+# what `sequence_log_probs` reads of one model: (table, side, symbol lookup)
+ScoringView = tuple[list[float], int, Callable[[str, int], int]]
+
+
+def scoring_view(model: TrigramModel) -> ScoringView:
+    """The table, its side (`alphabet.size`) and the symbol lookup of a model.
+
+    Taken once per model, so that scoring a context reads them from a
+    tuple instead of through attributes and method calls.
+    """
+    return model.table, model.alphabet.size, model.alphabet._index.get
+
+
+def sequence_log_probs(
+    views: Sequence[ScoringView], words: Sequence[str], r: float
+) -> list[float]:
+    """`sequence_log_prob(words, r)` of every model, in one flat loop.
+
+    Each word is walked as `word_log_prob` walks it and weighted as
+    `sequence_log_prob` weights it, with the same float operations in the
+    same order, so every result is bit-for-bit the method's; only the
+    per-model and per-word calls are gone.  `r` is not range-checked.
+    """
+    if not words or "" in words:
+        raise ValueError("empty sequence or token")
+    n = len(words)
+    weighted = [(r ** (n - 1 - k), word) for k, word in enumerate(words)]
+    totals = []
+    for table, v, get in views:
+        oov = v - 1
+        total = 0.0
+        for weight, word in weighted:
+            word_total = 0.0
+            prev2 = prev1 = 0
+            for ch in word:
+                cur = get(ch, oov)
+                word_total += table[(prev2 * v + prev1) * v + cur]
+                prev2 = prev1
+                prev1 = cur
+            total += weight * word_total
+        totals.append(total)
+    return totals
 
 
 def _line_indices(line: str, alphabet: Alphabet) -> list[int]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass
 
@@ -23,7 +24,14 @@ from lde import (
     train_trigram,
 )
 from lde.ngram import Alphabet
-from lde.synth import SyntheticLanguage, corpus_lines, disjoint_pair, intra_sentences
+from lde.synth import (
+    LATIN,
+    SyntheticLanguage,
+    corpus_lines,
+    disjoint_pair,
+    intra_sentences,
+    make_language,
+)
 from lde.trie import Trie, trie_from_pairs, word_frequencies
 
 
@@ -128,3 +136,28 @@ def build_bilingual(seed: int = 11, n_lines: int = 6000, r: float = 0.35) -> Bil
 @pytest.fixture(scope="session")
 def bilingual() -> BilingualSetup:
     return build_bilingual()
+
+
+@pytest.fixture(scope="module")
+def ten_pack_engine():
+    """Ten trained 13-letter packs (tau -15) and 4000 two-word contexts."""
+    rng = random.Random(808)
+    packs = []
+    contexts = []
+    for i in range(10):
+        letters = "".join(rng.sample(LATIN, 13))
+        lang = make_language(f"l{i}", letters, vocab_size=1200, seed=900 + i)
+        lines = corpus_lines(lang, 800, seed=950 + i)
+        alphabet = Alphabet((" ", *dict.fromkeys("".join(sorted(letters)))))
+        model = train_trigram(lines, alphabet, 0.5, language=lang.code)
+        lexicon = trie_from_pairs(
+            (word, 1200 - rank) for rank, word in enumerate(lang.vocabulary[:5000])
+        )
+        packs.append(make_pack(model, Threshold(lang.code, -15.0), lexicon))
+        contexts.extend(
+            f"{rng.choice(lang.vocabulary)} {rng.choice(lang.vocabulary)}"
+            for _ in range(400)
+        )
+    rng.shuffle(contexts)
+    engine = Engine(packs, EngineConfig(languages=tuple(p.language for p in packs)))
+    return engine, contexts

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lde import Engine, EngineConfig, DetectionPath, LruCache, context_tokens, strip_symbols
 from lde.ngram import Alphabet
+from lde.synth import LATIN
 
 from conftest import model_from_probs, simple_pack
 
@@ -199,13 +202,26 @@ class TestDetect:
         assert engine.detect(normal, state).path is DetectionPath.CACHE_HIT
 
     def test_second_call_reads_no_tables(self):
+        # every score_context call reads every pack's table; a hit makes none
         engine = two_language_engine()
         state = engine.new_state()
+        assert state.contexts_scored == 0
         engine.detect("abab aba", state)
-        before = sum(pack.model.reads for pack in engine.packs.values())
+        assert state.contexts_scored == 1
         engine.detect("abab aba", state)
-        after = sum(pack.model.reads for pack in engine.packs.values())
-        assert after == before
+        assert state.contexts_scored == 1
+
+    def test_detection_scores_are_read_only(self):
+        engine = two_language_engine()
+        state = engine.new_state()
+        first = engine.detect("abab aba", state)
+        with pytest.raises(TypeError):
+            first.scores["xx"] = 123.0
+        hit = engine.detect("abab aba", state)
+        assert hit.path is DetectionPath.CACHE_HIT
+        with pytest.raises(TypeError):
+            hit.scores["xx"] = 123.0
+        assert hit.scores == engine.detect("abab aba", engine.new_state()).scores
 
     def test_lru_eviction_honors_capacity(self):
         engine = two_language_engine(cache_capacity=3)
@@ -416,3 +432,31 @@ class TestNormalizedScoring:
         one = engine.score_context(["abab"])
         two = engine.score_context(["abab", "abab"])
         assert one["xx"] == pytest.approx(two["xx"], abs=1e-12)
+
+
+# every letter any test pack knows, plus three no pack knows
+_WORD = st.text(alphabet=LATIN + "éßж", min_size=1, max_size=10)
+_TOKENS = st.lists(_WORD, min_size=1, max_size=4)
+_RECENCY = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+def assert_scores_exact(engine, tokens, r):
+    engine = Engine(list(engine.packs.values()), EngineConfig(languages=engine.languages, r=r))
+    scores = engine.score_context(tokens)
+    mass = sum(r ** k for k in range(len(tokens)))
+    for lang, pack in engine.packs.items():
+        assert scores[lang] == pack.model.sequence_log_prob(tokens, r) / mass - pack.tau
+
+
+class TestExactScores:
+    """The flat scoring loop gives the model methods' scores bit-for-bit."""
+
+    @settings(deadline=None)
+    @given(tokens=_TOKENS, r=_RECENCY)
+    def test_bilingual(self, bilingual, tokens, r):
+        assert_scores_exact(bilingual.engine, tokens, r)
+
+    @settings(deadline=None)
+    @given(tokens=_TOKENS, r=_RECENCY)
+    def test_ten_packs(self, ten_pack_engine, tokens, r):
+        assert_scores_exact(ten_pack_engine[0], tokens, r)
