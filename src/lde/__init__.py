@@ -50,7 +50,6 @@ from .selector import (
     Threshold,
     adjusted_log_prob,
     build_training_set,
-    emission_vector,
     reduce_parameters,
     select_language,
     train_selector,
@@ -86,7 +85,6 @@ __all__ = [
     "build_training_set",
     "code_switch_rate",
     "context_tokens",
-    "emission_vector",
     "eval_inter",
     "eval_intra",
     "lexicon_from_lines",

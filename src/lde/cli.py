@@ -31,7 +31,7 @@ from .selector import (
     reduce_parameters,
     train_selector,
 )
-from .trie import Trie, load_lexicon, load_word_list, word_frequencies
+from .trie import Trie, lexicon_from_lines, load_lexicon, load_word_list, save_lexicon
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,21 +81,6 @@ def _load_model_json(path) -> TrigramModel:
         raise ValueError(f"{path}: not a model file ({exc})") from exc
 
 
-def _read_lexicon_words(path) -> list[str]:
-    """Lexicon words in file order (most frequent first)."""
-    words = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{line_no}: bad lexicon line {line!r}")
-            words.append(parts[0])
-    return words
-
-
 def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2, ensure_ascii=False))
 
@@ -116,10 +101,8 @@ def cmd_train_ngram(args) -> int:
     _save_model_json(model, args.out)
 
     lexicon_path = Path(args.out).parent / f"{args.lang}.lex"
-    frequencies = word_frequencies(training)[: args.lexicon_size]
-    with open(lexicon_path, "w", encoding="utf-8") as fh:
-        for word, count in frequencies:
-            fh.write(f"{word}\t{count}\n")
+    lexicon = lexicon_from_lines(training, args.lexicon_size)
+    save_lexicon(lexicon, lexicon_path)
 
     ppl_lines = heldout if heldout else training
     _print_json(
@@ -130,7 +113,7 @@ def cmd_train_ngram(args) -> int:
             "alphabet": "".join(alphabet.symbols[1:]),
             "alphabet_size": len(alphabet),
             "heldout_perplexity": perplexity(model, ppl_lines),
-            "lexicon_words": len(frequencies),
+            "lexicon_words": len(lexicon),
             "lexicon": str(lexicon_path),
             "model": args.out,
         }
@@ -164,7 +147,7 @@ def cmd_train_selector(args) -> int:
         lex_path = Path(args.lexicons) / f"{lang}.lex"
         if not lex_path.exists():
             raise ValueError(f"missing lexicon {lex_path}")
-        lexicons[lang] = _read_lexicon_words(lex_path)
+        lexicons[lang] = [word for word, _ in load_lexicon(lex_path).ranked()]
 
     rows = build_training_set(
         lexicons, models, args.lang, args.positives, args.negatives

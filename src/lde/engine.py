@@ -5,10 +5,13 @@ window is selected (extending past short tokens), and every loaded
 language scores the context with its recency-weighted trigram model minus
 its threshold: one flat loop (`ngram.sequence_log_probs`) walks every
 token through every pack's table, with no call per pack or per word.  On
-top of that sit three heuristics: a session LRU cache keyed by the
-normalized context, proper-noun exclusion, and typo rescue for
-out-of-lexicon tokens one edit away from a word in a non-current
-language.
+top of that sit three heuristics: proper-noun exclusion (trailing names
+are dropped and the context is selected again from the words before
+them), a session LRU cache keyed by the context that is scored, and typo
+rescue for out-of-lexicon tokens one edit away from a word in a
+non-current language.  `detect` is one pass: it strips the text once,
+makes one cache lookup and at most one cache write, and sets the session
+language once.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .ngram import (
 )
 from .pack import LanguagePack
 from .selector import LOG_HALF, select_language
-from .trie import trie_from_pairs
 
 
 def _strip_class(ch: str):
@@ -189,8 +191,8 @@ class Engine:
         self.packs: dict[str, LanguagePack] = {
             lang: by_lang[lang] for lang in config.languages
         }
-        self.proper_nouns = trie_from_pairs(
-            pair for pack in self.packs.values() for pair in pack.proper_nouns.items()
+        self.proper_nouns = frozenset(
+            word for pack in self.packs.values() for word, _ in pack.proper_nouns.items()
         )
         # what score_context reads per pack, in registration order
         self._views = tuple(scoring_view(pack.model) for pack in self.packs.values())
@@ -223,33 +225,39 @@ class Engine:
 
     def detect(self, raw: str, state: EngineState) -> Detection:
         text = strip_symbols(raw)
+        current = state.current_language
         if not text:
-            return Detection(state.current_language, _NO_SCORES, DetectionPath.FALLBACK)
+            return Detection(current, _NO_SCORES, DetectionPath.FALLBACK)
 
         tokens = context_tokens(text, self.config)
+        noun = tokens[-1] in self.proper_nouns
+        if noun:
+            # a name says nothing about the language: drop every trailing
+            # one and decide on the context the words before it give
+            words = text.split()
+            while words and words[-1] in self.proper_nouns:
+                words.pop()
+            if not words:
+                return Detection(current, _NO_SCORES, DetectionPath.PROPER_NOUN)
+            tokens = context_tokens(" ".join(words), self.config)
+
         key = " ".join(tokens)
-        current = state.current_language
         cached = state.cache.get(key)
         if cached is not None and cached[0] in (None, current):
             hit = cached[1]
             state.current_language = hit.language
             return hit
 
-        last = tokens[-1]
-        if last in self.proper_nouns:
-            inner = self.detect(" ".join(tokens[:-1]), state)
-            detection = Detection(inner.language, inner.scores, DetectionPath.PROPER_NOUN)
+        scores = self.score_context(tokens)
+        state.contexts_scored += 1
+        language, passed = select_language(scores, current)
+        scores = MappingProxyType(scores)
+        if passed:
+            detection = Detection(language, scores, DetectionPath.NORMAL)
         else:
-            scores = self.score_context(tokens)
-            state.contexts_scored += 1
-            language, passed = select_language(scores, state.current_language)
-            scores = MappingProxyType(scores)
-            if passed:
-                detection = Detection(language, scores, DetectionPath.NORMAL)
-            else:
-                detection = self._typo_rescue(tokens, state) or Detection(
-                    language, scores, DetectionPath.FALLBACK
-                )
+            detection = self._typo_rescue(tokens, state) or Detection(
+                language, scores, DetectionPath.FALLBACK
+            )
 
         # a normal answer depends on the context alone; fallback copies the
         # current language and typo rescue skips it, so every other answer
@@ -258,6 +266,8 @@ class Engine:
         hit = Detection(detection.language, detection.scores, DetectionPath.CACHE_HIT)
         state.cache.put(key, (None if normal else current, hit))
         state.current_language = detection.language
+        if noun:
+            return Detection(detection.language, detection.scores, DetectionPath.PROPER_NOUN)
         return detection
 
     def _typo_rescue(self, tokens: Sequence[str], state: EngineState) -> Detection | None:

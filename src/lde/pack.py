@@ -13,6 +13,7 @@ of the uncompressed payload as a 4-byte trailer.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -65,13 +66,10 @@ class LanguagePack:
     """In-memory view of one unpacked language file."""
 
     language: str
-    alphabet: Alphabet
     model: TrigramModel
     tau: float
     lexicon: Trie
     proper_nouns: Trie
-    format_version: int = FORMAT_VERSION
-    checksum: int = 0
 
 
 def quantize_table(table: list[float]) -> tuple[float, float, np.ndarray]:
@@ -165,6 +163,8 @@ def write_pack(
     lex_records = sorted(lexicon.items())
     parts.append(struct.pack("<I", len(lex_records)))
     for word, weight in lex_records:
+        if not 0 <= weight <= 0xFFFFFFFF:
+            raise PackError(f"lexicon weight {weight} of {word!r} is not a u32")
         parts.append(_pack_str(word) + struct.pack("<I", weight))
 
     noun_records = sorted(word for word, _ in proper_nouns.items()) if proper_nouns else []
@@ -235,8 +235,13 @@ def read_pack(path) -> LanguagePack:
     alpha, lo, scale = struct.unpack("<ddd", reader.take(24))
     v = alphabet.size
     q = np.frombuffer(reader.take(v * v * v * 2), dtype="<u2")
-    table = dequantize_table(lo, scale, q)
     tau = reader.f64()
+    # the table's values run from lo to lo + 65535 * scale
+    if not all(map(math.isfinite, (alpha, lo, scale, tau, lo + 65535 * scale))):
+        raise MalformedPackError(
+            f"non-finite value: alpha={alpha} lo={lo} scale={scale} tau={tau}"
+        )
+    table = dequantize_table(lo, scale, q)
 
     try:
         lexicon = trie_from_pairs(
@@ -251,13 +256,10 @@ def read_pack(path) -> LanguagePack:
     model = TrigramModel(language=language, alphabet=alphabet, table=table, alpha=alpha)
     return LanguagePack(
         language=language,
-        alphabet=alphabet,
         model=model,
         tau=tau,
         lexicon=lexicon,
         proper_nouns=proper_nouns,
-        format_version=version,
-        checksum=stored_crc,
     )
 
 
@@ -274,7 +276,6 @@ def make_pack(
         )
     return LanguagePack(
         language=model.language,
-        alphabet=model.alphabet,
         model=model,
         tau=tau.tau,
         lexicon=lexicon if lexicon is not None else Trie(),

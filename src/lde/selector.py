@@ -40,11 +40,6 @@ class Threshold:
     tau: float
 
 
-def emission_vector(models: Mapping[str, TrigramModel], word: str) -> dict[str, float]:
-    """Emission log-probability of `word` under every language's model."""
-    return {lang: model.word_log_prob(word) for lang, model in models.items()}
-
-
 def negative_quotas(
     languages: Sequence[str], target: str, negatives: int
 ) -> dict[str, int]:

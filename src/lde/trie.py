@@ -31,10 +31,8 @@ class Trie:
         self._weights[word] = self._weights.get(word, 0) + weight
         self._letters.update(word)
 
-    def contains(self, word: str) -> bool:
+    def __contains__(self, word: str) -> bool:
         return word in self._weights
-
-    __contains__ = contains
 
     def __len__(self) -> int:
         return len(self._weights)
@@ -42,6 +40,11 @@ class Trie:
     def items(self) -> Iterator[tuple[str, int]]:
         """All (word, weight) pairs in lexicographic order."""
         return iter(sorted(self._weights.items()))
+
+    def ranked(self) -> list[tuple[str, int]]:
+        """All (word, weight) pairs heaviest first, ties by word: the
+        order of a lexicon file."""
+        return sorted(self._weights.items(), key=lambda item: (-item[1], item[0]))
 
     def edit1_candidates(self, word: str, max_results: int = 10) -> list[tuple[str, int]]:
         """Words in the lexicon within Levenshtein distance 1 of `word`.
@@ -94,11 +97,11 @@ def trie_from_pairs(pairs: Iterable[tuple[str, int]]) -> Trie:
 
 def word_frequencies(lines: Iterable[str]) -> list[tuple[str, int]]:
     """Corpus words with counts, most frequent first (ties by word)."""
-    counts: dict[str, int] = {}
+    counts = Trie()
     for raw in lines:
         for word in normalize_text(raw).split():
-            counts[word] = counts.get(word, 0) + 1
-    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+            counts.insert(word)
+    return counts.ranked()
 
 
 def lexicon_from_lines(lines: Iterable[str], top_k: int = 50000) -> Trie:
@@ -123,8 +126,9 @@ def load_lexicon(path) -> Trie:
 
 
 def save_lexicon(trie: Trie, path) -> None:
+    """Write a word<TAB>count lexicon file, heaviest word first."""
     with open(path, "w", encoding="utf-8") as fh:
-        for word, weight in sorted(trie.items(), key=lambda item: (-item[1], item[0])):
+        for word, weight in trie.ranked():
             fh.write(f"{word}\t{weight}\n")
 
 

@@ -515,14 +515,25 @@ def test_c11_cache_properties(bilingual):
 #  supplementary timing claims (benchmark-derived, not numbered criteria)
 # ------------------------------------------------------------------ #
 
-def _median_detect_ns(engine, calls) -> float:
-    samples = []
-    for raw, state in calls:
+def _interleaved_median_ns(side_a, side_b) -> tuple[float, float]:
+    """Median detect time of each (engine, calls) side.
+
+    The two sides take turns, one call of each per step, so that a change
+    in machine speed during the measurement falls on both alike.
+    """
+    (engine_a, calls_a), (engine_b, calls_b) = side_a, side_b
+    samples_a, samples_b = [], []
+    for (raw_a, state_a), (raw_b, state_b) in zip(calls_a, calls_b, strict=True):
         t0 = time.perf_counter_ns()
-        engine.detect(raw, state)
-        samples.append(time.perf_counter_ns() - t0)
-    samples.sort()
-    return samples[len(samples) // 2]
+        engine_a.detect(raw_a, state_a)
+        t1 = time.perf_counter_ns()
+        engine_b.detect(raw_b, state_b)
+        t2 = time.perf_counter_ns()
+        samples_a.append(t1 - t0)
+        samples_b.append(t2 - t1)
+    samples_a.sort()
+    samples_b.sort()
+    return samples_a[len(samples_a) // 2], samples_b[len(samples_b) // 2]
 
 
 def test_cached_repeat_is_much_faster_than_cold(ten_pack_engine):
@@ -532,8 +543,7 @@ def test_cached_repeat_is_much_faster_than_cold(ten_pack_engine):
     engine.detect(contexts[0], warm_state)
     warm_calls = [(contexts[0], warm_state) for _ in range(600)]
 
-    cold_ns = _median_detect_ns(engine, cold_calls)
-    warm_ns = _median_detect_ns(engine, warm_calls)
+    cold_ns, warm_ns = _interleaved_median_ns((engine, cold_calls), (engine, warm_calls))
     assert warm_ns * 10 <= cold_ns, (
         f"cached repeat {warm_ns}ns should be >=10x faster than cold {cold_ns}ns"
     )
@@ -547,6 +557,5 @@ def test_latency_scales_sublinearly_in_pack_count(ten_pack_engine):
     )
     calls1 = [(raw, engine1.new_state()) for raw in contexts[:600]]
     calls10 = [(raw, engine10.new_state()) for raw in contexts[:600]]
-    t1 = _median_detect_ns(engine1, calls1)
-    t10 = _median_detect_ns(engine10, calls10)
+    t1, t10 = _interleaved_median_ns((engine1, calls1), (engine10, calls10))
     assert t10 < 10 * t1, f"10-pack {t10}ns vs 1-pack {t1}ns is not sub-linear"

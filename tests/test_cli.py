@@ -158,6 +158,24 @@ class TestTrainSelector:
         assert code == 2
         assert "degenerate" in capsys.readouterr().err
 
+    def test_bad_lexicon_line_is_data_error(self, workspace, tmp_path, capsys):
+        # the same reader as `lde pack`: a count must be an integer
+        lexicons = tmp_path / "lexicons"
+        lexicons.mkdir()
+        models = workspace["models"]
+        (lexicons / "aa.lex").write_text((models / "aa.lex").read_text(), encoding="utf-8")
+        (lexicons / "bb.lex").write_text("emhf\tmany\n", encoding="utf-8")
+        code = main([
+            "train-selector",
+            "--models", str(models),
+            "--lexicons", str(lexicons),
+            "--lang", "aa",
+            "--positives", "800", "--negatives", "800",
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        assert "bad lexicon line" in capsys.readouterr().err
+
 
 class TestPack:
     def test_size_report(self, workspace, capsys, tmp_path):
@@ -194,6 +212,19 @@ class TestPack:
             "--lexicon", str(models / "aa.lex"),
             "--out", str(tmp_path / "x.ldep"),
         ]) == 2
+
+    def test_out_of_range_weight_is_data_error(self, workspace, tmp_path, capsys):
+        lexicon = tmp_path / "aa.lex"
+        lexicon.write_text("abc\t-1\n", encoding="utf-8")
+        models = workspace["models"]
+        assert main([
+            "pack",
+            "--model", str(models / "aa.json"),
+            "--selector", str(models / "aa.selector.json"),
+            "--lexicon", str(lexicon),
+            "--out", str(tmp_path / "x.ldep"),
+        ]) == 2
+        assert "'abc'" in capsys.readouterr().err
 
 
 class TestDetect:

@@ -275,24 +275,39 @@ class TestProperNounExclusion:
 
     def test_noun_inherits_context_language(self):
         engine = self.engine_with_nouns()
-        state = engine.new_state()
-        detection = engine.detect("mnm Delma", state)
-        assert detection.path is DetectionPath.PROPER_NOUN
-        assert detection.language == "yy"
+        for raw in ("mnm Delma", "mnm Delma delma"):
+            detection = engine.detect(raw, engine.new_state())
+            assert detection.path is DetectionPath.PROPER_NOUN
+            assert detection.language == "yy"
 
     def test_noun_only_context_keeps_current(self):
         engine = self.engine_with_nouns()
-        state = engine.new_state()
-        detection = engine.detect("Delma", state)
-        assert detection.path is DetectionPath.PROPER_NOUN
-        assert detection.language == "xx"
+        for raw in ("Delma", "Delma delma"):
+            state = engine.new_state()
+            detection = engine.detect(raw, state)
+            assert detection.path is DetectionPath.PROPER_NOUN
+            assert detection.language == "xx"
+            assert len(state.cache) == 0
 
     def test_neutrality(self):
         engine = self.engine_with_nouns()
-        for context in ("aba ab", "mnm mn", "abab"):
+        for context in ("aba ab", "mnm mn", "abab", "a mnmn"):
             base = engine.detect(context, engine.new_state())
             with_noun = engine.detect(context + " delma", engine.new_state())
             assert with_noun.language == base.language
+
+    def test_noun_shares_the_cache_entry_of_its_context(self):
+        engine = self.engine_with_nouns()
+        state = engine.new_state()
+        engine.detect("mnm Delma", state)
+        assert state.cache.keys() == ["mnm"]
+        assert state.contexts_scored == 1
+
+        state = engine.new_state()
+        engine.detect("mnm", state)
+        detection = engine.detect("mnm Delma", state)
+        assert detection.path is DetectionPath.CACHE_HIT
+        assert detection.language == "yy"
 
     def test_corrected_absent_outside_typo_rescue(self):
         engine = self.engine_with_nouns()

@@ -1,9 +1,12 @@
+import math
 import random
 import struct
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lde import (
     Engine,
@@ -66,12 +69,11 @@ class TestRoundTrip:
         pack = read_pack(path)
 
         assert pack.language == "xx"
-        assert pack.alphabet == model.alphabet
+        assert pack.model.alphabet == model.alphabet
         assert pack.tau == tau.tau
         assert pack.model.alpha == model.alpha
         assert dict(pack.lexicon.items()) == dict(lexicon.items())
         assert [w for w, _ in pack.proper_nouns.items()] == ["hagrid"]
-        assert pack.format_version == 1
 
         lo, scale, _ = quantize_table(model.table)
         for original, back in zip(model.table, pack.model.table):
@@ -101,6 +103,13 @@ class TestRoundTrip:
         model, _, lexicon, _ = sample_inputs
         with pytest.raises(PackError, match="mismatch"):
             make_pack(model, Threshold("yy", -1.0), lexicon)
+
+    @pytest.mark.parametrize("weight", [-1, 2**32])
+    def test_out_of_range_weight_rejected(self, sample_inputs, tmp_path, weight):
+        model, tau, lexicon, _ = sample_inputs
+        lexicon.insert("dab", weight)
+        with pytest.raises(PackError, match="'dab'"):
+            write_pack(model, tau, lexicon, tmp_path / "x.ldep")
 
 
 class TestErrorPaths:
@@ -178,9 +187,86 @@ class TestErrorPaths:
         with pytest.raises(MalformedPackError, match=message):
             read_pack(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("tau", math.nan), ("scale", 1e308), ("lo", -math.inf), ("alpha", math.inf)],
+    )
+    def test_non_finite_field(self, sample_inputs, tmp_path, field, value):
+        model, tau, _, _ = sample_inputs
+        path = self.write_sample(sample_inputs, tmp_path)
+        lo, scale, _ = quantize_table(model.table)
+        before = {"alpha": model.alpha, "lo": lo, "scale": scale, "tau": tau.tau}
+        after = dict(before, **{field: value})
+        # alpha, lo and scale sit right before the table, tau right after it
+        for layout, names in (("<ddd", ("alpha", "lo", "scale")), ("<d", ("tau",))):
+            self.rewrite_payload(
+                path,
+                struct.pack(layout, *(before[name] for name in names)),
+                struct.pack(layout, *(after[name] for name in names)),
+            )
+        with pytest.raises(MalformedPackError, match="non-finite"):
+            read_pack(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_pack(tmp_path / "absent.ldep")
+
+
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("replace", "insert", "delete")),
+        st.integers(min_value=0),
+        st.integers(min_value=0, max_value=255),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for kind, at, byte in edits:
+        at %= len(out) + 1
+        if kind == "insert":
+            out.insert(at, byte)
+        elif at < len(out):
+            if kind == "replace":
+                out[at] = byte
+            else:
+                del out[at]
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def sample_pack_path(tmp_path_factory):
+    alphabet = Alphabet(tuple(" abcdefgh"))
+    model = train_trigram(["abc def gah", "fed cab hag"], alphabet, 0.5, language="xx")
+    lexicon = trie_from_pairs([("abc", 12), ("def", 5), ("cafe", 2)])
+    path = tmp_path_factory.mktemp("fuzz") / "xx.ldep"
+    write_pack(model, Threshold("xx", -7.25), lexicon, path, proper_nouns=lexicon)
+    return path
+
+
+@settings(deadline=None, max_examples=300)
+@given(edits=_EDITS, in_payload=st.booleans())
+def test_reader_is_total(sample_pack_path, edits, in_payload):
+    """Any edit of a valid pack either loads, with finite scores, or raises a
+    PackError.  Payload edits are recompressed under a valid checksum so
+    that they reach the field parser."""
+    data = sample_pack_path.read_bytes()
+    if in_payload:
+        payload = _mutate(zlib.decompress(data[len(MAGIC) : -4]), edits)
+        data = MAGIC + zlib.compress(payload, 9) + struct.pack("<I", zlib.crc32(payload))
+    else:
+        data = _mutate(data, edits)
+    path = sample_pack_path.with_name("mutant.ldep")
+    path.write_bytes(data)
+    try:
+        pack = read_pack(path)
+    except PackError:
+        return
+    assert all(map(math.isfinite, pack.model.table))
+    assert math.isfinite(pack.tau)
 
 
 class TestDecisionEquivalence:

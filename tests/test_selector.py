@@ -10,7 +10,6 @@ from lde import (
     adjusted_log_prob,
     build_alphabet,
     build_training_set,
-    emission_vector,
     reduce_parameters,
     select_language,
     train_selector,
@@ -210,14 +209,3 @@ class TestSelectLanguage:
     def test_empty_scores_rejected(self):
         with pytest.raises(ValueError):
             select_language({}, "EN")
-
-
-def test_emission_vector_covers_all_languages(toy_alphabet):
-    models = {
-        "aa": model_from_probs(toy_alphabet, 0.2, language="aa"),
-        "bb": model_from_probs(toy_alphabet, 0.1, language="bb"),
-    }
-    vector = emission_vector(models, "ab")
-    assert set(vector) == {"aa", "bb"}
-    assert vector["aa"] == pytest.approx(2 * math.log(0.2), abs=1e-12)
-    assert vector["bb"] == pytest.approx(2 * math.log(0.1), abs=1e-12)

@@ -31,12 +31,12 @@ class TestInsertContains:
     def test_insert_then_contains(self):
         trie = Trie()
         trie.insert("kal")
-        assert trie.contains("kal")
+        assert "kal" in trie
 
     def test_prefix_is_not_terminal(self):
         trie = Trie()
         trie.insert("kal")
-        assert not trie.contains("ka")
+        assert "ka" not in trie
 
     def test_weight_accumulates(self):
         trie = Trie()
@@ -46,14 +46,14 @@ class TestInsertContains:
         assert len(trie) == 1
 
     def test_empty_trie(self):
-        assert not Trie().contains("anything")
+        assert "anything" not in Trie()
 
     def test_exact_membership(self):
         trie = Trie()
         trie.insert("paris")
-        assert trie.contains("paris")
-        assert not trie.contains("pari")
-        assert not trie.contains("parisx")
+        assert "paris" in trie
+        assert "pari" not in trie
+        assert "parisx" not in trie
 
     def test_insert_empty_word(self):
         with pytest.raises(ValueError, match="empty word"):
@@ -72,7 +72,7 @@ class TestInsertContains:
         trie = Trie()
         for word in words:
             trie.insert(word)
-        assert all(trie.contains(w) for w in words)
+        assert all(w in trie for w in words)
         assert len(trie) == len(words)
         assert [w for w, _ in trie.items()] == sorted(words)
 
@@ -207,8 +207,8 @@ class TestLexiconFiles:
         path = tmp_path / "nouns.txt"
         path.write_text("Paris\nDELHI\n", encoding="utf-8")
         trie = load_word_list(path)
-        assert trie.contains("paris")
-        assert trie.contains("delhi")
+        assert "paris" in trie
+        assert "delhi" in trie
 
     def test_word_frequencies_order(self):
         freqs = word_frequencies(["b a", "a c a"])
