@@ -275,21 +275,24 @@ class Engine:
 
         Only fires when the token is in no language's lexicon and exactly
         one non-current language offers an edit-distance-1 candidate whose
-        corrected context clears that language's threshold.
+        corrected context clears that language's threshold.  The search
+        stops at the second language that offers one.
         """
         last = tokens[-1]
         if any(last in pack.lexicon for pack in self.packs.values()):
             return None
-        candidates: list[tuple[str, str]] = []
+        rescue = None
         for lang, pack in self.packs.items():
             if lang == state.current_language:
                 continue
             found = pack.lexicon.edit1_candidates(last, max_results=1)
             if found:
-                candidates.append((lang, found[0][0]))
-        if len(candidates) != 1:
+                if rescue is not None:
+                    return None
+                rescue = (lang, found[0][0])
+        if rescue is None:
             return None
-        language, word = candidates[0]
+        language, word = rescue
         corrected = list(tokens[:-1]) + [word]
         rescored = self.score_context(corrected)
         state.contexts_scored += 1

@@ -5,31 +5,54 @@ token a valid word / a listed proper noun) and fetching auto-correction
 candidates one edit away from a typo.  Words live in a dict from word to
 weight; candidates are generated from the query, in the manner of
 Norvig's spelling corrector, and looked up in that dict.
+
+Only probes that could be words are generated.  The lexicon keeps an
+exact letter-pair index: for each letter, and for the word boundary,
+which letters follow it and which precede it in some word.  A query's
+pairs that no word holds mark where it must be edited: a substitution or
+deletion of one letter repairs the two pairs around it, an insertion the
+one pair it splits, so bad pairs more than one position apart leave no
+candidate; a letter no word holds spoils the two pairs around it, so
+two such letters leave none.  The letter a substitution or insertion
+puts between `p` and `q` comes from `follow[p] & lead[q]`, and a
+deletion is tried only if `q` may follow `p`.  Every pair of a lexicon
+word is in the index, so the pruning never drops a candidate.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections import defaultdict
+from itertools import count
+from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .ngram import normalize_text
+
+Letters = frozenset[str]
+PairIndex = tuple[Mapping[str, Letters], Mapping[str, Letters]]  # (follow, lead)
+
+BOUNDARY = ""  # the letter before a word's first and after its last
+_NONE: Letters = frozenset()
 
 
 class Trie:
     """Word -> weight lexicon; weights accumulate on repeated insertion.
 
-    Besides the words it keeps the set of letters they use.  No word holds
-    a letter outside that set, which bounds the edit-1 search.
+    `Trie(weights)` adopts a dict of non-empty words as it is.  The
+    letter-pair index is derived from the words in bulk on first use and
+    again after any `insert`, so it is always exact.
     """
 
-    def __init__(self):
-        self._weights: dict[str, int] = {}
-        self._letters: set[str] = set()
+    def __init__(self, weights: dict[str, int] | None = None):
+        self._weights: dict[str, int] = {} if weights is None else weights
+        self._pairs: PairIndex | None = None
 
     def insert(self, word: str, weight: int = 1) -> None:
         if not word:
             raise ValueError("empty word")
         self._weights[word] = self._weights.get(word, 0) + weight
-        self._letters.update(word)
+        self._pairs = None
 
     def __contains__(self, word: str) -> bool:
         return word in self._weights
@@ -46,46 +69,121 @@ class Trie:
         order of a lexicon file."""
         return sorted(self._weights.items(), key=lambda item: (-item[1], item[0]))
 
+    def pair_index(self) -> PairIndex:
+        """(follow, lead): for each letter, and for `BOUNDARY`, the letters
+        that follow it (`BOUNDARY` too if it ends a word) and the letters
+        that precede it in some word; built once per set of words."""
+        if self._pairs is None:
+            self._pairs = letter_pairs(self._weights)
+        return self._pairs
+
     def edit1_candidates(self, word: str, max_results: int = 10) -> list[tuple[str, int]]:
         """Words in the lexicon within Levenshtein distance 1 of `word`.
 
         Distance 0 (the word itself) counts.  Results are ordered by
         descending weight, then lexicographically, and truncated to
-        `max_results`.  Only the strings `edit1_probes` generates over the
-        lexicon's own letters are looked up.
+        `max_results`; with `max_results=1` the heaviest hit is taken
+        with `min` instead of a sort.  Only the strings `pair_probes`
+        generates are looked up.
         """
         if not word:
             raise ValueError("empty word")
         weights = self._weights
-        found = [(w, weights[w]) for w in weights.keys() & edit1_probes(word, self._letters)]
-        found.sort(key=lambda item: (-item[1], item[0]))
-        return found[:max_results]
+        follow, lead = self._pairs or self.pair_index()
+        hits = weights.keys() & pair_probes(word, follow, lead)
+        if not hits:
+            return []
+        ranked = [(-weights[w], w) for w in hits]
+        best = [min(ranked)] if max_results == 1 else sorted(ranked)[:max_results]
+        return [(w, -negative) for negative, w in best]
 
 
-def edit1_probes(word: str, letters: set[str]) -> list[str]:
-    """Every string over `letters` within one edit of `word` (repeats allowed).
+def pair_probes(word: str, follow: Mapping[str, Letters], lead: Mapping[str, Letters]) -> list[str]:
+    """The strings one edit from `word` (itself included, repeats allowed)
+    that the letter-pair index (`follow`, `lead`) does not rule out.
 
-    One edit removes at most one character, so a word holding two or more
-    characters outside `letters` yields nothing, and a word holding one
-    yields only its deletion and its substitutions by each of `letters`.
-    Otherwise every deletion, substitution and insertion is generated, the
-    word itself included.
+    Pair k of `word` is (padded[k], padded[k + 1]) over `word` padded with
+    `BOUNDARY` at both ends.  Substituting or deleting letter i replaces
+    pairs i and i + 1; inserting at gap g replaces pair g.  An edit is
+    tried only if the pairs it replaces include every bad pair (one no
+    word holds), and it only forms pairs that some word holds, so every
+    lexicon word one edit from `word` is among the probes.
     """
-    foreign = [i for i, ch in enumerate(word) if ch not in letters]
+    # a letter no word holds has no `follow` entry and spoils the pairs on
+    # both sides: only an edit of it can repair them, and one edit cannot
+    # repair two such letters (its other pairs go unchecked)
+    foreign = [i for i, ch in enumerate(word) if ch not in follow]
     if len(foreign) > 1:
         return []
+    n = len(word)
+    padded = (BOUNDARY, *word, BOUNDARY)
     if foreign:
-        head, tail = word[: foreign[0]], word[foreign[0] + 1 :]
-        return [head + tail] + [head + ch + tail for ch in letters]
-    probes = [word]
-    for i in range(len(word) + 1):
-        head, tail = word[:i], word[i:]
-        probes += [head + ch + tail for ch in letters]
-        if tail:
-            rest = tail[1:]
-            probes.append(head + rest)
-            probes += [head + ch + rest for ch in letters]
+        first, last = foreign[0], foreign[0] + 1
+        probes = []
+    else:
+        bad = [k for k in range(n + 1) if padded[k + 1] not in follow.get(padded[k], _NONE)]
+        first, last = (bad[0], bad[-1]) if bad else (n, 0)
+        if last - first > 1:
+            return []
+        probes = [] if bad else [word]
+    # bad pairs first..last: letters last - 1..first and gaps last..first
+    # replace them all; with none, every letter and gap may be edited
+    for i in range(max(last - 1, 0), min(first, n - 1) + 1):
+        head, tail = word[:i], word[i + 1 :]
+        before, after = padded[i], padded[i + 2]
+        allowed = follow.get(before, _NONE)
+        if after in allowed:
+            probes.append(head + tail)
+        probes += [head + ch + tail for ch in allowed & lead.get(after, _NONE)]
+    for g in range(last, min(first, n) + 1):
+        head, tail = word[:g], word[g:]
+        allowed = follow.get(padded[g], _NONE) & lead.get(padded[g + 1], _NONE)
+        probes += [head + ch + tail for ch in allowed]
     return probes
+
+
+def letter_pairs(words: Iterable[str]) -> PairIndex:
+    """The exact (follow, lead) index of `words`, built in bulk.
+
+    The words are joined with a separator no word holds, each character is
+    mapped to a dense rank (the separator to 0) and the distinct adjacent
+    rank pairs are found with numpy, so the cost is one pass over the text
+    and the tables grow with the number of distinct letters, never with
+    their code points.  Identical letter sets are shared.
+    """
+    words = list(words)
+    if not words:
+        return {}, {}
+    letters = set("".join(words))
+    sep = next(ch for ch in map(chr, count()) if ch not in letters)
+    chars = [sep, *letters]
+    ranks = {ord(ch): rank for rank, ch in enumerate(chars)}
+    text = (sep + sep.join(words) + sep).translate(ranks)
+    dense = np.frombuffer(text.encode("utf-32-le"), dtype="<u4").astype(np.int64)
+    k = len(chars)
+    ids = dense[:-1] * k + dense[1:]
+    if k * k <= len(ids):
+        ids = np.flatnonzero(np.bincount(ids, minlength=k * k))
+    else:
+        ids = np.unique(ids)
+    chars[0] = BOUNDARY
+    follow: dict[str, set[str]] = defaultdict(set)
+    lead: dict[str, set[str]] = defaultdict(set)
+    for pair in ids.tolist():
+        p, q = chars[pair // k], chars[pair % k]
+        follow[p].add(q)
+        if p != BOUNDARY:
+            lead[q].add(p)
+    shared: dict[Letters, Letters] = {}
+
+    def freeze(found: set[str]) -> Letters:
+        frozen = frozenset(found)
+        return shared.setdefault(frozen, frozen)
+
+    return (
+        {ch: freeze(found) for ch, found in follow.items()},
+        {ch: freeze(found) for ch, found in lead.items()},
+    )
 
 
 def trie_from_pairs(pairs: Iterable[tuple[str, int]]) -> Trie:

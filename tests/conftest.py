@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 import time
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
 
 from lde import (
     Engine,
@@ -33,6 +35,11 @@ from lde.synth import (
     make_language,
 )
 from lde.trie import Trie, trie_from_pairs, word_frequencies
+
+# CI runs every property test on a fixed sequence of examples, so a failure
+# there reproduces locally with HYPOTHESIS_PROFILE=ci
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def model_from_probs(

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from lde import Engine, EngineConfig, DetectionPath, LruCache, context_tokens, strip_symbols
 from lde.ngram import Alphabet
 from lde.synth import LATIN
+from lde.trie import Trie
 
 from conftest import model_from_probs, simple_pack
 
@@ -358,6 +359,26 @@ class TestTypoRescue:
         detection = engine.detect("ksl", state)
         assert detection.path is DetectionPath.FALLBACK
         assert detection.corrected is None
+
+    def test_search_stops_at_the_second_candidate_language(self, monkeypatch):
+        model_x = model_from_probs(ALPHABET, 0.05, language="xx")
+        packs = [simple_pack(model_x, tau=-2.0, lexicon_words=("ab",))]
+        for lang, word in (("yy", "kal"), ("zz", "ksi"), ("ww", "ksa")):
+            model = model_from_probs(ALPHABET, 0.05, language=lang)
+            packs.append(simple_pack(model, tau=-2.0, lexicon_words=(word,)))
+        engine = Engine(packs, EngineConfig(languages=("xx", "yy", "zz", "ww")))
+        searched = []
+        search = Trie.edit1_candidates
+
+        def spy(trie, word, max_results=10):
+            searched.append(word)
+            return search(trie, word, max_results)
+
+        monkeypatch.setattr(Trie, "edit1_candidates", spy)
+        # yy and zz both offer a candidate, so ww is never searched
+        detection = engine.detect("ksl", engine.new_state())
+        assert detection.path is DetectionPath.FALLBACK
+        assert searched == ["ksl", "ksl"]
 
     def test_in_lexicon_token_not_rescued(self):
         engine = self.rescue_engine()

@@ -187,6 +187,33 @@ class TestErrorPaths:
         with pytest.raises(MalformedPackError, match=message):
             read_pack(path)
 
+    def test_repeated_word(self, sample_inputs, tmp_path):
+        path = self.write_sample(sample_inputs, tmp_path)
+        self.rewrite_payload(path, b"\x04\x00cafe", b"\x03\x00abc")
+        with pytest.raises(MalformedPackError, match="1 repeated words"):
+            read_pack(path)
+
+    @pytest.mark.parametrize(
+        "record, cut",
+        [
+            (b"\x03\x00abc", 1),  # inside a lexicon word's length
+            (b"\x03\x00abc", 4),  # inside the word
+            (b"\x03\x00abc", 7),  # inside its weight
+            (b"\x06\x00hagrid", 1),  # inside a proper noun's length
+            (b"\x06\x00hagrid", 5),  # inside the noun, the payload's last record
+        ],
+        ids=["length", "word", "weight", "noun-length", "noun"],
+    )
+    def test_record_cut_short(self, sample_inputs, tmp_path, record, cut):
+        path = self.write_sample(sample_inputs, tmp_path)
+        payload = zlib.decompressobj().decompress(path.read_bytes()[8:])
+        payload = payload[: payload.rindex(record) + cut]
+        path.write_bytes(
+            MAGIC + zlib.compress(payload, 9) + struct.pack("<I", zlib.crc32(payload))
+        )
+        with pytest.raises(TruncatedPackError):
+            read_pack(path)
+
     @pytest.mark.parametrize(
         "field, value",
         [("tau", math.nan), ("scale", 1e308), ("lo", -math.inf), ("alpha", math.inf)],

@@ -1,15 +1,20 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lde.trie
 from lde.trie import (
+    BOUNDARY,
     Trie,
-    edit1_probes,
+    letter_pairs,
     lexicon_from_lines,
     load_lexicon,
     load_word_list,
+    pair_probes,
     save_lexicon,
     trie_from_pairs,
     word_frequencies,
@@ -145,43 +150,136 @@ class TestEdit1Candidates:
         assert seen == {(0, True), (0, False), (1, True), (1, False), (2, False)}
 
     def test_probes_are_exactly_the_edit1_neighborhood(self):
-        letters = {"a", "b", "c"}
-        for query in ("b", "ab", "cab", "x", "xa", "axb", "cabx", "xx", "axbx"):
-            probes = edit1_probes(query, letters)
-            expected = {
+        """Exact up to the pair prune: every probe is one edit from the
+        query, and every lexicon word one edit away is probed."""
+        letters = "abc"
+        neighborhoods = {}
+        for query in ("b", "ab", "cab", "x", "xa", "axb", "cabx", "xx", "axbx", "abcab"):
+            alphabet = sorted(set(letters) | set(query))
+            neighborhoods[query] = {
                 "".join(chars)
                 for n in range(max(0, len(query) - 1), len(query) + 2)
-                for chars in itertools.product(sorted(letters), repeat=n)
+                for chars in itertools.product(alphabet, repeat=n)
                 if levenshtein(query, "".join(chars)) <= 1
             }
-            assert set(probes) == expected, query
+        rng = random.Random(12)
+        for _ in range(20):
+            words = {
+                "".join(rng.choices(letters, k=rng.randint(1, 4)))
+                for _ in range(rng.randint(1, 12))
+            }
+            follow, lead = letter_pairs(words)
+            for query, neighborhood in neighborhoods.items():
+                probes = set(pair_probes(query, follow, lead))
+                assert probes <= neighborhood, query
+                assert words & neighborhood <= probes, query
 
     def test_search_is_pruned(self, monkeypatch):
-        rng = random.Random(8)
-        trie = Trie()
-        for _ in range(5000):
-            trie.insert("".join(rng.choices("abcdefghij", k=rng.randint(3, 9))))
-        lookups = []
+        # pairs: ^a ab b$ ^b bc c$ ^c ca a$ (^ and $ are the word boundary)
+        trie = trie_from_pairs([("ab", 1), ("bc", 1), ("ca", 1)])
+        assert trie.pair_index() == (
+            {BOUNDARY: {"a", "b", "c"}, "a": {"b", BOUNDARY}, "b": {"c", BOUNDARY},
+             "c": {"a", BOUNDARY}},
+            {"a": {"c"}, "b": {"a"}, "c": {"b"}, BOUNDARY: {"a", "b", "c"}},
+        )
+        generated = []
 
-        def probes(word, letters):
-            generated = edit1_probes(word, letters)
-            lookups.append(len(generated))
-            return generated
+        def probes(word, follow, lead):
+            found = pair_probes(word, follow, lead)
+            generated.append(sorted(found))
+            return found
 
-        monkeypatch.setattr(lde.trie, "edit1_probes", probes)
-        # two or more letters the lexicon never uses: no lookup at all
-        assert trie.edit1_candidates("zzzzzzzzzzzzzzzzzzzz") == []
-        assert trie.edit1_candidates("abzcdz") == []
-        assert lookups == [0, 0]
-        for _ in range(100):
-            word = "".join(rng.choices("abcdefghij", k=rng.randint(1, 12)))
-            n = len(word)
-            pos = rng.randint(0, n)
-            trie.edit1_candidates(word)
-            trie.edit1_candidates(word[:pos] + "z" + word[pos:])
-            # the word, its deletions, substitutions and insertions; with one
-            # foreign letter, only its deletion and substitutions
-            assert lookups[-2:] == [1 + n + n * 10 + (n + 1) * 10, 1 + 10]
+        monkeypatch.setattr(lde.trie, "pair_probes", probes)
+        assert trie.edit1_candidates("ab") == [("ab", 1)]
+        assert trie.edit1_candidates("ba") == [("bc", 1), ("ca", 1)]
+        assert trie.edit1_candidates("cab") == [("ab", 1), ("ca", 1)]
+        assert trie.edit1_candidates("aab") == [("ab", 1)]
+        assert trie.edit1_candidates("axb") == [("ab", 1)]
+        assert trie.edit1_candidates("xax") == []
+        assert trie.edit1_candidates("axxb") == []
+        assert generated == [
+            # no bad pair: the word, both deletions, a substitution at each
+            # letter (by itself) and the insertions c+ab, ab+c; the full
+            # neighbourhood over a, b, c has 1 + 2 + 2*3 + 3*3 = 18 strings
+            ["a", "ab", "ab", "ab", "abc", "b", "cab"],
+            # bad pair (b, a): edits of b, of a, and an insertion between them
+            ["a", "b", "bc", "bca", "ca"],
+            # no bad pair, but deleting a would form the pair (c, b): no cb
+            ["ab", "bcab", "ca", "cab", "cab", "cab", "cab", "cabc"],
+            # bad pair (a, a): both deletions and c for the first a
+            ["ab", "ab", "cab"],
+            # a foreign letter spoils the pairs on both sides: its deletion
+            ["ab"],
+            # bad pairs more than one position apart: no probe at all
+            [],
+            [],
+        ]
+
+    def test_insert_after_search_extends_the_index(self):
+        trie = trie_from_pairs([("ab", 1)])
+        assert trie.edit1_candidates("cb") == [("ab", 1)]
+        assert trie.edit1_candidates("cd") == []
+        trie.insert("cde", 4)  # new letters and pairs ^c cd de e$
+        assert trie.edit1_candidates("cd") == [("cde", 4)]
+        assert trie.edit1_candidates("cb") == [("ab", 1)]
+
+    def test_pair_table_does_not_scale_with_code_points(self):
+        words = ["\U0001d51e" * 3 + "b", "b\U0001d51e"]  # U+1D51E, past 1.1M
+        tracemalloc.start()
+        try:
+            follow, lead = letter_pairs(words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert follow == reference_pairs(words)[0]
+        assert lead == reference_pairs(words)[1]
+        assert peak < 100_000
+
+
+def reference_pairs(words):
+    """Loop reference for `letter_pairs`."""
+    follow, lead = {}, {}
+    for word in words:
+        padded = (BOUNDARY, *word, BOUNDARY)
+        for p, q in zip(padded, padded[1:]):
+            follow.setdefault(p, set()).add(q)
+            if p != BOUNDARY:
+                lead.setdefault(q, set()).add(p)
+    return follow, lead
+
+
+_LETTERS = "ab\u00e9\u00df\U0001d51e"  # a, b, e-acute, sharp s, and a non-BMP letter
+_WORDS = st.text(st.sampled_from(_LETTERS), min_size=1, max_size=6)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    lexicon=st.dictionaries(_WORDS, st.integers(1, 9), min_size=1, max_size=40),
+    base=_WORDS,
+    letter=st.sampled_from(_LETTERS + "x"),
+    where=st.sampled_from(("start", "middle", "end")),
+    substitute=st.booleans(),
+    inserted=st.booleans(),
+)
+def test_search_matches_brute_force(lexicon, base, letter, where, substitute, inserted):
+    """Queries edited at the start, middle or end, so their bad pairs sit
+    there, against every lexicon word within distance 1."""
+    at = {"start": 0, "middle": len(base) // 2, "end": len(base)}[where]
+    if substitute and at < len(base):
+        query = base[:at] + letter + base[at + 1 :]
+    else:
+        query = base[:at] + letter + base[at:]
+    if inserted:
+        trie = trie_from_pairs(lexicon.items())
+    else:
+        trie = Trie(dict(lexicon))
+    assert trie.pair_index() == reference_pairs(lexicon)
+    expected = sorted(
+        ((w, wt) for w, wt in lexicon.items() if levenshtein(query, w) <= 1),
+        key=lambda item: (-item[1], item[0]),
+    )
+    assert trie.edit1_candidates(query, max_results=len(lexicon)) == expected
+    assert trie.edit1_candidates(query, max_results=1) == expected[:1]
 
 
 class TestLexiconFiles:
