@@ -221,10 +221,19 @@ def _load_packs(packs_dir: str, langs: list[str] | None) -> dict[Path, LanguageP
     return {path: read_pack(path) for path in paths}
 
 
-def _load_engine(packs_dir: str, langs: list[str] | None, r: float) -> Engine:
-    packs = list(_load_packs(packs_dir, langs).values())
-    config = EngineConfig(languages=langs or [pack.language for pack in packs], r=r)
-    return Engine(packs, config)
+def _load_engine(args) -> tuple[Engine, dict[str, int]]:
+    """The engine over `--packs`, restricted to and ordered by `--langs`
+    when given, at recency `--r`; with each pack's file size by language."""
+    langs = None
+    if args.langs is not None:
+        langs = [code.strip() for code in args.langs.split(",") if code.strip()]
+        if not langs:
+            raise ValueError("empty --langs list")
+    loaded = _load_packs(args.packs, langs)
+    packs = list(loaded.values())
+    config = EngineConfig(languages=langs or [pack.language for pack in packs], r=args.r)
+    sizes = {pack.language: path.stat().st_size for path, pack in loaded.items()}
+    return Engine(packs, config), sizes
 
 
 def _format_detection(raw: str, detection) -> str:
@@ -234,10 +243,7 @@ def _format_detection(raw: str, detection) -> str:
 
 
 def cmd_detect(args) -> int:
-    langs = [code.strip() for code in args.langs.split(",") if code.strip()]
-    if not langs:
-        raise ValueError("empty --langs list")
-    engine = _load_engine(args.packs, langs, args.r)
+    engine, _ = _load_engine(args)
     state = engine.new_state()
 
     if args.interactive:
@@ -279,7 +285,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    engine = _load_engine(args.packs, None, DEFAULT_RECENCY)
+    engine, _ = _load_engine(args)
     sentences = read_tagged_tsv(args.testset)
     if args.mode == "intra":
         report = eval_intra(sentences, engine)
@@ -307,11 +313,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    loaded = _load_packs(args.packs, None)
-    engine = Engine(
-        list(loaded.values()),
-        EngineConfig(languages=[pack.language for pack in loaded.values()]),
-    )
+    engine, pack_sizes = _load_engine(args)
     contexts = [line for line in _read_lines(args.contexts) if line.strip()]
     if not contexts:
         raise ValueError("no benchmark contexts")
@@ -335,7 +337,6 @@ def cmd_bench(args) -> int:
             gc.enable()
 
     samples_us = sorted(ns / 1000.0 for ns in samples_ns)
-    pack_sizes = {pack.language: path.stat().st_size for path, pack in loaded.items()}
     _print_json(
         {
             "iters": args.iters,
@@ -352,6 +353,16 @@ def cmd_bench(args) -> int:
 # --------------------------------------------------------------------- #
 #  parser
 # --------------------------------------------------------------------- #
+
+def _engine_options(p, langs_required: bool = False) -> None:
+    """The `--langs` and `--r` that `_load_engine` reads."""
+    default = "required" if langs_required else "default: every pack, by file name"
+    p.add_argument(
+        "--langs", required=langs_required,
+        help=f"comma-separated codes, primary first ({default})",
+    )
+    p.add_argument("--r", type=float, default=DEFAULT_RECENCY, help="recency factor")
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="lde", description=__doc__)
@@ -385,10 +396,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("detect", help="detect languages of input lines")
     p.add_argument("--packs", required=True, help="directory of .ldep packs")
-    p.add_argument("--langs", required=True, help="comma-separated codes, primary first")
     p.add_argument("--interactive", action="store_true")
     p.add_argument("--input", default=None, help="input file (default stdin)")
-    p.add_argument("--r", type=float, default=DEFAULT_RECENCY, help="recency factor")
+    _engine_options(p, langs_required=True)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("eval", help="evaluate on a tagged test set")
@@ -397,12 +407,14 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", required=True, choices=("intra", "inter"))
     p.add_argument("--report", required=True, help="JSON report output path")
     p.add_argument("--min-f1", type=float, default=None, help="fail if macro-F1 below")
+    _engine_options(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="measure per-detect latency")
     p.add_argument("--packs", required=True)
     p.add_argument("--contexts", required=True, help="one context per line")
     p.add_argument("--iters", type=int, default=10000)
+    _engine_options(p)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -1,10 +1,16 @@
 """End-to-end detection pipeline.
 
-Input text is stripped of ideograms and normalized, the trailing context
-window is selected (extending past short tokens), and every loaded
-language scores the context with its recency-weighted trigram model minus
-its threshold: one flat loop (`ngram.sequence_log_probs`) walks every
-token through every pack's table, with no call per pack or per word.  On
+Input text goes through one `str.translate` with a table that maps each
+character straight to its stripped, lowercased and filtered form (emoji,
+symbols, controls, marks, digits and punctuation out; whitespace runs
+collapsed); only a text holding `Σ`, whose lowercase depends on its
+neighbours, takes the two-pass strip-then-`normalize_text` path.  The
+trailing context window is then sliced off (extending past short
+tokens), and every loaded language scores the context with its
+recency-weighted trigram model minus its threshold: one flat loop
+(`ngram.sequence_log_probs`) walks every token through every pack's
+table, with no call per pack or per word, using recency weights and
+weight masses computed once per engine for each context length.  On
 top of that sit three heuristics: proper-noun exclusion (trailing names
 are dropped and the context is selected again from the words before
 them), a session LRU cache keyed by the context that is scored, and typo
@@ -26,6 +32,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .ngram import (
     DEFAULT_RECENCY,
     WHITESPACE,
+    _NORMALIZE_TABLE,
     _CharTable,
     normalize_text,
     scoring_view,
@@ -46,9 +53,26 @@ def _strip_class(ch: str):
 _STRIP_TABLE = _CharTable(_strip_class)
 
 
+def _front_class(ch: str):
+    kept = _strip_class(ch)
+    return None if kept is None else kept.lower().translate(_NORMALIZE_TABLE)
+
+
+# `_strip_class` then `normalize_text`, one character at a time
+_FRONT_TABLE = _CharTable(_front_class)
+
+
 def strip_symbols(raw: str) -> str:
-    """Drop emoji, pictographs and control characters, then normalize."""
-    return normalize_text(raw.translate(_STRIP_TABLE))
+    """Drop emoji, pictographs and control characters, then normalize.
+
+    One pass through `_FRONT_TABLE` gives what stripping and then
+    `normalize_text` give, except for `Σ`: lowercasing a whole string
+    turns a word-final `Σ` into `ς`, which no per-character table can do,
+    so a text holding one takes the two passes.
+    """
+    if "Σ" in raw:
+        return normalize_text(raw.translate(_STRIP_TABLE))
+    return " ".join(raw.translate(_FRONT_TABLE).split())
 
 
 @dataclass
@@ -90,19 +114,17 @@ def context_tokens(text: str, config: EngineConfig) -> list[str]:
     up to `max_context_extension` tokens total.
     """
     tokens = text.split()
-    if not tokens:
-        return []
-    selected = tokens[-config.context_window :]
-    remaining = len(tokens) - len(selected)
+    start = len(tokens) - config.context_window
+    first = len(tokens) - config.max_context_extension
     short = config.short_token_len
-    while (
-        remaining > 0
-        and len(selected) < config.max_context_extension
-        and any(len(tok) <= short for tok in selected)
-    ):
-        remaining -= 1
-        selected.insert(0, tokens[remaining])
-    return selected
+    while start > 0 and start > first and min(map(len, tokens[start:])) <= short:
+        start -= 1
+    return tokens[start:] if start > 0 else tokens
+
+
+def _recency(r: float, n: int) -> tuple[list[float], float]:
+    """The weight r^(n-1-k) of word k of n, and the weights' sum."""
+    return [r ** (n - 1 - k) for k in range(n)], sum(r ** k for k in range(n))
 
 
 class DetectionPath(Enum):
@@ -197,6 +219,10 @@ class Engine:
         # what score_context reads per pack, in registration order
         self._views = tuple(scoring_view(pack.model) for pack in self.packs.values())
         self._taus = tuple((lang, pack.tau) for lang, pack in self.packs.items())
+        # recency weights and weight mass of every context length detect selects
+        self._recency = {
+            n: _recency(config.r, n) for n in range(1, config.max_context_extension + 1)
+        }
 
     @property
     def languages(self) -> tuple[str, ...]:
@@ -218,9 +244,9 @@ class Engine:
         scored exactly as trained and longer contexts interpolate their
         words instead of stacking them.
         """
-        r = self.config.r
-        mass = sum(r ** k for k in range(len(tokens)))
-        log_probs = sequence_log_probs(self._views, tokens, r)
+        recency = self._recency.get(len(tokens))
+        weights, mass = recency or _recency(self.config.r, len(tokens))
+        log_probs = sequence_log_probs(self._views, tokens, weights)
         return {lang: lp / mass - tau for (lang, tau), lp in zip(self._taus, log_probs)}
 
     def detect(self, raw: str, state: EngineState) -> Detection:
@@ -259,12 +285,13 @@ class Engine:
                 language, scores, DetectionPath.FALLBACK
             )
 
-        # a normal answer depends on the context alone; fallback copies the
-        # current language and typo rescue skips it, so every other answer
-        # is reused only in the language it was computed in
-        normal = detection.path is DetectionPath.NORMAL
-        hit = Detection(detection.language, detection.scores, DetectionPath.CACHE_HIT)
-        state.cache.put(key, (None if normal else current, hit))
+        # a normal answer depends on the context alone, and a fallback copies
+        # the current language, so it is reused only in that language; a
+        # rescue is not kept, since a cache hit carries no correction
+        path = detection.path
+        if path is not DetectionPath.TYPO_RESCUE:
+            hit = Detection(detection.language, detection.scores, DetectionPath.CACHE_HIT)
+            state.cache.put(key, (None if path is DetectionPath.NORMAL else current, hit))
         state.current_language = detection.language
         if noun:
             return Detection(detection.language, detection.scores, DetectionPath.PROPER_NOUN)

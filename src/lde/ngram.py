@@ -201,19 +201,21 @@ def scoring_view(model: TrigramModel) -> ScoringView:
 
 
 def sequence_log_probs(
-    views: Sequence[ScoringView], words: Sequence[str], r: float
+    views: Sequence[ScoringView], words: Sequence[str], weights: Sequence[float]
 ) -> list[float]:
     """`sequence_log_prob(words, r)` of every model, in one flat loop.
 
-    Each word is walked as `word_log_prob` walks it and weighted as
-    `sequence_log_prob` weights it, with the same float operations in the
-    same order, so every result is bit-for-bit the method's; only the
-    per-model and per-word calls are gone.  `r` is not range-checked.
+    `weights[k]` is word k's recency weight, r^(n-1-k) for n words, as
+    `sequence_log_prob` computes it; the caller computes the weights once
+    per context length.  Each word is walked as `word_log_prob` walks it
+    and weighted as `sequence_log_prob` weights it, with the same float
+    operations in the same order, so every result is bit-for-bit the
+    method's; only the per-model and per-word calls are gone.  The weights
+    are not checked against `words` or against r's range.
     """
     if not words or "" in words:
         raise ValueError("empty sequence or token")
-    n = len(words)
-    weighted = [(r ** (n - 1 - k), word) for k, word in enumerate(words)]
+    weighted = tuple(zip(weights, words))
     totals = []
     for table, v, get in views:
         oov = v - 1

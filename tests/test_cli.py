@@ -321,6 +321,18 @@ class TestEval:
         ]) == 0
         assert last_json(capsys)["mode"] == "inter"
 
+    def test_recency_and_languages_reach_the_engine(self, workspace, testset, capsys, tmp_path):
+        accuracy = {}
+        for extra in ((), ("--r", "0.7"), ("--r", "0.2"), ("--langs", "bb,aa")):
+            assert main([
+                "eval", "--packs", str(workspace["packs"]), "--testset", str(testset),
+                "--mode", "intra", "--report", str(tmp_path / "r.json"), *extra,
+            ]) == 0
+            accuracy[extra] = last_json(capsys)["accuracy"]
+        assert accuracy[()] == accuracy[("--r", "0.7")]
+        assert accuracy[("--r", "0.2")] != accuracy[()]
+        assert accuracy[("--langs", "bb,aa")] != accuracy[()]
+
     def test_malformed_testset(self, workspace, capsys, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("oops\n", encoding="utf-8")
@@ -349,6 +361,22 @@ class TestBench:
         assert report["mean_us"] > 0
         assert report["p50_us"] <= report["p99_us"]
         assert set(report["pack_bytes"]) == {"aa", "bb"}
+
+    def test_languages_and_recency(self, workspace, capsys, tmp_path):
+        contexts = tmp_path / "contexts.txt"
+        contexts.write_text(workspace["langs"][1].vocabulary[0] + "\n", encoding="utf-8")
+        assert main([
+            "bench", "--packs", str(workspace["packs"]), "--langs", "bb",
+            "--r", "0.5", "--contexts", str(contexts), "--iters", "10",
+        ]) == 0
+        report = last_json(capsys)
+        assert report["languages"] == 1
+        assert set(report["pack_bytes"]) == {"bb"}
+        assert main([
+            "bench", "--packs", str(workspace["packs"]), "--r", "1.5",
+            "--contexts", str(contexts),
+        ]) == 2
+        assert "recency factor" in capsys.readouterr().err
 
 
 def test_eval_and_bench_read_each_pack_once(workspace, testset, monkeypatch, capsys, tmp_path):

@@ -1,13 +1,38 @@
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lde import Engine, EngineConfig, DetectionPath, LruCache, context_tokens, strip_symbols
+from ldebench import oracle
+from lde import (
+    Engine,
+    EngineConfig,
+    DetectionPath,
+    LruCache,
+    context_tokens,
+    make_pack,
+    strip_symbols,
+)
 from lde.ngram import Alphabet
-from lde.synth import LATIN
+from lde.synth import LATIN, intra_sentences
 from lde.trie import Trie
 
 from conftest import model_from_probs, simple_pack
+
+
+# what a keyboard sends: U+0020-U+2FFF, emoji with skin tones and joiners,
+# odd spaces, and the letters whose lowercase is not one character mapped
+# on its own
+_RAW = st.text(
+    st.one_of(
+        st.characters(min_codepoint=0x20, max_codepoint=0x2FFF),
+        st.sampled_from(
+            ["😂", "👍", "\U0001F3FD", "\U0001F468", "\u200d", "\u00a0", "\t", "Σ", "ς", "İ"]
+        ),
+    ),
+    max_size=24,
+)
 
 
 class TestStripSymbols:
@@ -25,6 +50,19 @@ class TestStripSymbols:
 
     def test_control_characters(self):
         assert strip_symbols("a\u200db\x07c") == "abc"
+
+    def test_word_final_sigma(self):
+        # lowercasing the whole text makes a word-final capital sigma final
+        assert strip_symbols("ΟΔΟΣ") == "οδος"
+        assert strip_symbols("aΣ1b") == "aςb"
+
+    @settings(deadline=None)
+    @given(raw=_RAW)
+    @example("ΟΔΟΣ")
+    @example("aΣ1b")
+    @example("İstanbul 👍🏽")
+    def test_matches_the_two_pass_reference(self, raw):
+        assert strip_symbols(raw) == oracle.normalise(raw)
 
 
 class TestContextTokens:
@@ -61,6 +99,24 @@ class TestContextTokens:
     def test_custom_window(self):
         config = EngineConfig(languages=("aa",), context_window=3, max_context_extension=3)
         assert context_tokens("a1 b2 c3 d4", config) == ["b2", "c3", "d4"]
+
+    @given(
+        words=st.lists(st.text(alphabet="ab", min_size=1, max_size=5), max_size=8),
+        window=st.integers(1, 4),
+        extension=st.integers(0, 3),
+        short=st.integers(0, 4),
+    )
+    def test_matches_the_reference(self, words, window, extension, short):
+        config = EngineConfig(
+            languages=("aa",),
+            context_window=window,
+            max_context_extension=window + extension,
+            short_token_len=short,
+        )
+        text = " ".join(words)
+        assert context_tokens(text, config) == oracle.context(
+            text, window, short, window + extension
+        )
 
 
 class TestEngineConfig:
@@ -353,6 +409,15 @@ class TestTypoRescue:
         assert detection.corrected == ("kal", "yy")
         assert state.current_language == "yy"
 
+    def test_repeat_in_the_same_language_keeps_the_correction(self):
+        # a cache hit carries no correction, so a rescue is not cached
+        engine = self.rescue_engine()
+        state = engine.new_state()
+        rescued = engine.detect("ksl", state)
+        assert engine.detect("ab", state).language == "xx"
+        assert engine.detect("ksl", state) == rescued
+        assert rescued.corrected == ("kal", "yy")
+
     def test_ambiguous_candidates_no_rescue(self):
         engine = self.rescue_engine(with_third=True)
         state = engine.new_state()
@@ -470,9 +535,10 @@ class TestNormalizedScoring:
         assert one["xx"] == pytest.approx(two["xx"], abs=1e-12)
 
 
-# every letter any test pack knows, plus three no pack knows
+# every letter any test pack knows, plus three no pack knows; contexts run
+# past max_context_extension (4), which detect never selects
 _WORD = st.text(alphabet=LATIN + "éßж", min_size=1, max_size=10)
-_TOKENS = st.lists(_WORD, min_size=1, max_size=4)
+_TOKENS = st.lists(_WORD, min_size=1, max_size=6)
 _RECENCY = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 
 
@@ -496,3 +562,55 @@ class TestExactScores:
     @given(tokens=_TOKENS, r=_RECENCY)
     def test_ten_packs(self, ten_pack_engine, tokens, r):
         assert_scores_exact(ten_pack_engine[0], tokens, r)
+
+    def test_empty_context_rejected(self, bilingual):
+        with pytest.raises(ValueError):
+            bilingual.engine.score_context([])
+
+
+class TestCacheContract:
+    """A detect answers as a fresh state in the same language would."""
+
+    def test_replayed_sessions_match_fresh_states(self, bilingual):
+        nouns = Trie()
+        nouns.insert("quixario")
+        engine = Engine(
+            [
+                make_pack(bilingual.models[code], bilingual.thresholds[code],
+                          bilingual.lexicons[code], nouns)
+                for code in ("aa", "bb")
+            ],
+            EngineConfig(languages=("aa", "bb"), r=bilingual.r, cache_capacity=8),
+        )
+        paths = set()
+        for sentence in intra_sentences(bilingual.lang_a, bilingual.lang_b, 300, seed=77):
+            rng = random.Random(sentence.id)
+            words = []
+            for word, _ in sentence.tokens:
+                if rng.random() < 0.15:  # one-letter substitution typo
+                    at = rng.randrange(len(word))
+                    word = word[:at] + rng.choice(LATIN) + word[at + 1 :]
+                words.append(word)
+                if rng.random() < 0.08:
+                    words.append("Quixario")
+            # every keystroke prefix, with backspaced stretches typed again
+            full = " ".join(words)
+            ends = []
+            for end in range(1, len(full) + 1):
+                ends.append(end)
+                if rng.random() < 0.1:
+                    ends.extend(range(end - 1, max(0, end - 8), -1))
+                    ends.extend(range(max(1, end - 6), end + 1))
+            state = engine.new_state()
+            for end in ends:
+                fresh = engine.new_state()
+                fresh.current_language = state.current_language
+                expected = engine.detect(full[:end], fresh)
+                got = engine.detect(full[:end], state)
+                paths.add(got.path)
+                assert (got.language, got.scores, got.corrected) == (
+                    expected.language,
+                    expected.scores,
+                    expected.corrected,
+                ), full[:end]
+        assert paths == set(DetectionPath)

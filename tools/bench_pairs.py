@@ -1,0 +1,96 @@
+"""Run the benchmark on two checkouts in alternating pairs; record every run.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR \
+        --parent-rev REV --change-rev REV --workload keystroke-2 \
+        --seeds 7201-7210 [--seconds 20] [--trace 0|1] --out BENCH_<pr>.json
+
+Each seed is one pair: `python3 -m ldebench` runs once in each checkout,
+the parent first on even pairs and the change first on odd ones.  Every
+run's metrics are appended to `--out` (created if missing) under the
+workload, with the seed, the order and both revisions, so one file can
+collect several workloads and the traced runs.  The summary per metric
+gives each side's median and quartiles over all recorded untraced pairs
+and how many pairs the change won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    argv = [sys.executable, "-m", "ldebench", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=False)
+    lines = done.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"{root}: no output (exit {done.returncode}): {done.stderr[-500:]}")
+    result = json.loads(lines[-1])
+    return {name: metric["value"] for name, metric in result["metrics"].items()} | {
+        "failed": result["failed"], "attempted": result["attempted"]}
+
+
+def seeds_of(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def summary(pairs: list[dict], lower_is_better: dict[str, bool]) -> dict:
+    out = {}
+    for name, lower in lower_is_better.items():
+        sides = {side: [p[side][name] for p in pairs if name in p[side]]
+                 for side in ("parent", "change")}
+        if len(sides["parent"]) != len(pairs) or len(sides["change"]) != len(pairs):
+            continue
+        wins = sum((c < p) if lower else (c > p)
+                   for p, c in zip(sides["parent"], sides["change"]))
+        row = {"pairs": len(pairs), "change_wins": wins}
+        for side, values in sides.items():
+            q = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+            row[side] = {"median": statistics.median(values), "q1": q[0], "q3": q[2]}
+        out[name] = row
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--parent-rev", required=True)
+    parser.add_argument("--change-rev", required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, help="N or FIRST-LAST")
+    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args()
+
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {"workloads": {}}
+    entry = doc["workloads"].setdefault(args.workload, {"pairs": [], "traced": []})
+    better = {m["name"]: m["better"] == "lower"
+              for m in json.loads((Path(args.change) / "BENCHMARK.json").read_text())["end_to_end"]}
+    for i, seed in enumerate(seeds_of(args.seeds)):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "order": f"{order[0]} first", "seconds": args.seconds,
+                "revisions": {"parent": args.parent_rev, "change": args.change_rev}}
+        for side in order:
+            pair[side] = run_once(getattr(args, side), args.workload, seed,
+                                  args.seconds, args.trace)
+        entry["traced" if args.trace else "pairs"].append(pair)
+        print(json.dumps({k: pair[k] for k in ("seed", "order")}
+                         | {s: pair[s].get("detect_p50_us") for s in ("parent", "change")}),
+              flush=True)
+        entry["summary"] = summary(entry["pairs"], better)
+        out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
