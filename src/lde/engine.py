@@ -15,9 +15,11 @@ top of that sit three heuristics: proper-noun exclusion (trailing names
 are dropped and the context is selected again from the words before
 them), a session LRU cache keyed by the context that is scored, and typo
 rescue for out-of-lexicon tokens one edit away from a word in a
-non-current language.  `detect` is one pass: it strips the text once,
-makes one cache lookup and at most one cache write, and sets the session
-language once.
+non-current language.  A rescue first scores the corrected context with
+the rescued language's table alone, since only that score decides it;
+every pack scores the context only for a rescue that passes.  `detect`
+is one pass: it strips the text once, makes one cache lookup and at most
+one cache write, and sets the session language once.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .ngram import (
     DEFAULT_RECENCY,
+    ScoringView,
     WHITESPACE,
     _NORMALIZE_TABLE,
     _CharTable,
@@ -188,7 +191,10 @@ class EngineState:
 
     cache: LruCache  # context -> (language it depends on or None, CACHE_HIT Detection)
     current_language: str
-    contexts_scored: int = 0  # score_context calls, each reading every pack's table
+    # full scorings, each reading every pack's table: one per detect that
+    # misses the cache, plus one per passing typo rescue (the one-table
+    # check that decides a rescue does not count)
+    contexts_scored: int = 0
 
 
 class Engine:
@@ -244,10 +250,17 @@ class Engine:
         scored exactly as trained and longer contexts interpolate their
         words instead of stacking them.
         """
+        return self._adjusted(self._views, self._taus, tokens)
+
+    def _adjusted(
+        self, views: Sequence[ScoringView], taus: Sequence[tuple[str, float]], tokens: Sequence[str]
+    ) -> dict[str, float]:
+        """`score_context` over the packs of `views` and `taus` only: each
+        entry is the very float the call over every pack gives it."""
         recency = self._recency.get(len(tokens))
         weights, mass = recency or _recency(self.config.r, len(tokens))
-        log_probs = sequence_log_probs(self._views, tokens, weights)
-        return {lang: lp / mass - tau for (lang, tau), lp in zip(self._taus, log_probs)}
+        log_probs = sequence_log_probs(views, tokens, weights)
+        return {lang: lp / mass - tau for (lang, tau), lp in zip(taus, log_probs)}
 
     def detect(self, raw: str, state: EngineState) -> Detection:
         text = strip_symbols(raw)
@@ -303,28 +316,33 @@ class Engine:
         Only fires when the token is in no language's lexicon and exactly
         one non-current language offers an edit-distance-1 candidate whose
         corrected context clears that language's threshold.  The search
-        stops at the second language that offers one.
+        stops at the second language that offers one.  The rescued
+        language's table alone scores the corrected context for the
+        threshold test, giving the very float `score_context` gives it;
+        every pack scores it only once the rescue passes, for the scores
+        the detection carries.
         """
         last = tokens[-1]
         if any(last in pack.lexicon for pack in self.packs.values()):
             return None
         rescue = None
-        for lang, pack in self.packs.items():
+        for i, (lang, pack) in enumerate(self.packs.items()):
             if lang == state.current_language:
                 continue
             found = pack.lexicon.edit1_candidates(last, max_results=1)
             if found:
                 if rescue is not None:
                     return None
-                rescue = (lang, found[0][0])
+                rescue = (i, found[0][0])
         if rescue is None:
             return None
-        language, word = rescue
-        corrected = list(tokens[:-1]) + [word]
+        i, word = rescue
+        language = self._taus[i][0]
+        corrected = [*tokens[:-1], word]
+        if self._adjusted((self._views[i],), (self._taus[i],), corrected)[language] < LOG_HALF:
+            return None
         rescored = self.score_context(corrected)
         state.contexts_scored += 1
-        if rescored[language] < LOG_HALF:
-            return None
         return Detection(
             language,
             MappingProxyType(rescored),

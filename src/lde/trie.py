@@ -16,7 +16,9 @@ candidate; a letter no word holds spoils the two pairs around it, so
 two such letters leave none.  The letter a substitution or insertion
 puts between `p` and `q` comes from `follow[p] & lead[q]`, and a
 deletion is tried only if `q` may follow `p`.  Every pair of a lexicon
-word is in the index, so the pruning never drops a candidate.
+word is in the index, so the pruning never drops a candidate.  The
+two-foreign-letter rule is checked before any probe is made, with one
+`str.translate` that deletes every lexicon letter from the query.
 """
 
 from __future__ import annotations
@@ -40,13 +42,15 @@ class Trie:
     """Word -> weight lexicon; weights accumulate on repeated insertion.
 
     `Trie(weights)` adopts a dict of non-empty words as it is.  The
-    letter-pair index is derived from the words in bulk on first use and
-    again after any `insert`, so it is always exact.
+    letter-pair index, and with it the table that deletes every lexicon
+    letter, is derived from the words in bulk on first use and again
+    after any `insert`, so it is always exact.
     """
 
     def __init__(self, weights: dict[str, int] | None = None):
         self._weights: dict[str, int] = {} if weights is None else weights
         self._pairs: PairIndex | None = None
+        self._known: dict[int, None] = {}  # lexicon letter -> None; set with _pairs
 
     def insert(self, word: str, weight: int = 1) -> None:
         if not word:
@@ -75,6 +79,7 @@ class Trie:
         that precede it in some word; built once per set of words."""
         if self._pairs is None:
             self._pairs = letter_pairs(self._weights)
+            self._known = str.maketrans("", "", "".join(self._pairs[0]))
         return self._pairs
 
     def edit1_candidates(self, word: str, max_results: int = 10) -> list[tuple[str, int]]:
@@ -83,13 +88,16 @@ class Trie:
         Distance 0 (the word itself) counts.  Results are ordered by
         descending weight, then lexicographically, and truncated to
         `max_results`; with `max_results=1` the heaviest hit is taken
-        with `min` instead of a sort.  Only the strings `pair_probes`
-        generates are looked up.
+        with `min` instead of a sort.  A query holding two letters no
+        word holds has no candidate and makes no probe; otherwise only the
+        strings `pair_probes` generates are looked up.
         """
         if not word:
             raise ValueError("empty word")
         weights = self._weights
         follow, lead = self._pairs or self.pair_index()
+        if len(word.translate(self._known)) > 1:
+            return []
         hits = weights.keys() & pair_probes(word, follow, lead)
         if not hits:
             return []
@@ -110,11 +118,11 @@ def pair_probes(word: str, follow: Mapping[str, Letters], lead: Mapping[str, Let
     lexicon word one edit from `word` is among the probes.
     """
     # a letter no word holds has no `follow` entry and spoils the pairs on
-    # both sides: only an edit of it can repair them, and one edit cannot
-    # repair two such letters (its other pairs go unchecked)
+    # both sides: only an edit of it can repair them.  One edit cannot
+    # repair two such letters, and `Trie.edit1_candidates` rejects those
+    # queries first; here the probes of the first one still contain the
+    # second, so they match no word either
     foreign = [i for i, ch in enumerate(word) if ch not in follow]
-    if len(foreign) > 1:
-        return []
     n = len(word)
     padded = (BOUNDARY, *word, BOUNDARY)
     if foreign:

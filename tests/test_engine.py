@@ -10,15 +10,18 @@ from lde import (
     EngineConfig,
     DetectionPath,
     LruCache,
+    Threshold,
+    TrigramModel,
     context_tokens,
     make_pack,
     strip_symbols,
 )
 from lde.ngram import Alphabet
+from lde.selector import LOG_HALF, select_language
 from lde.synth import LATIN, intra_sentences
 from lde.trie import Trie
 
-from conftest import model_from_probs, simple_pack
+from conftest import levenshtein, model_from_probs, simple_pack
 
 
 # what a keyboard sends: U+0020-U+2FFF, emoji with skin tones and joiners,
@@ -375,7 +378,7 @@ class TestProperNounExclusion:
 
 
 class TestTypoRescue:
-    def rescue_engine(self, with_third=False):
+    def rescue_engine(self, with_third=False, yy_tau=-2.0):
         """Current language xx; yy holds 'kal'; optional zz holds 'ksi'."""
         model_x = model_from_probs(
             ALPHABET, 0.05, {(" ", " ", "a"): 0.5, (" ", "a", "b"): 0.5}, language="xx"
@@ -387,7 +390,7 @@ class TestTypoRescue:
         )
         packs = [
             simple_pack(model_x, tau=-2.0, lexicon_words=("ab",)),
-            simple_pack(model_y, tau=-2.0, lexicon_words=("kal",)),
+            simple_pack(model_y, tau=yy_tau, lexicon_words=("kal",)),
         ]
         languages = ["xx", "yy"]
         if with_third:
@@ -408,6 +411,18 @@ class TestTypoRescue:
         assert detection.language == "yy"
         assert detection.corrected == ("kal", "yy")
         assert state.current_language == "yy"
+
+    def test_only_a_passing_rescue_scores_every_pack(self):
+        # the rescued language's own check reads one table and is not a
+        # full scoring; the scores a passing rescue carries are
+        for yy_tau, path, scored in (
+            (-2.0, DetectionPath.TYPO_RESCUE, 2),
+            (50.0, DetectionPath.FALLBACK, 1),
+        ):
+            engine = self.rescue_engine(yy_tau=yy_tau)
+            state = engine.new_state()
+            assert engine.detect("ksl", state).path is path
+            assert state.contexts_scored == scored
 
     def test_repeat_in_the_same_language_keeps_the_correction(self):
         # a cache hit carries no correction, so a rescue is not cached
@@ -495,6 +510,104 @@ class TestTypoRescue:
         )
         detection = engine.detect("ksl", engine.new_state())
         assert detection.path is DetectionPath.FALLBACK
+
+
+def reference_detect(engine: Engine, text: str) -> tuple:
+    """What `detect` answers on a fresh state, by the rule of re-scoring
+    every pack for any unique candidate and then comparing: (outcome,
+    language, scores, path, corrected, full scorings)."""
+    current = engine.config.languages[0]
+    tokens = context_tokens(text, engine.config)
+    scores = engine.score_context(tokens)
+    language, passed = select_language(scores, current)
+    if passed:
+        return "normal", language, scores, DetectionPath.NORMAL, None, 1
+    fallback = (language, scores, DetectionPath.FALLBACK, None, 1)
+    last = tokens[-1]
+    if any(last in pack.lexicon for pack in engine.packs.values()):
+        return ("in lexicon", *fallback)
+    offers = []
+    for lang, pack in engine.packs.items():
+        near = [(-wt, w) for w, wt in pack.lexicon.items() if levenshtein(last, w) <= 1]
+        if near and lang != current:
+            offers.append((lang, min(near)[1]))
+    if len(offers) != 1:
+        return ("two or more" if offers else "no candidate", *fallback)
+    lang, word = offers[0]
+    rescored = engine.score_context([*tokens[:-1], word])
+    if rescored[lang] < LOG_HALF:
+        return ("failing rescue", *fallback)
+    return "passing rescue", lang, rescored, DetectionPath.TYPO_RESCUE, (word, lang), 2
+
+
+@st.composite
+def rescue_cases(draw):
+    """3-5 packs over random alphabets, lexicons and taus, and a context
+    whose last token is one edit from words of 0, 1 or 2 non-current
+    languages (more if their lexicons happen to hold such words)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 5))
+    letters = [rng.sample("abcdefgh", rng.randint(3, 6)) for _ in range(n)]
+    lexicons = [
+        {"".join(rng.choices(alpha, k=rng.randint(1, 5))): rng.randint(1, 5)
+         for _ in range(rng.randint(2, 8))}
+        for alpha in letters
+    ]
+    # language 0 is the current one; the typo is mostly a z, which no
+    # alphabet holds, among letters of near[0], and mostly edited at the z
+    near = rng.sample(range(1, n), draw(st.integers(0, 2)))
+    typo = rng.choices(letters[near[0]] if near else "abcdefgh", k=rng.randint(1, 4))
+    if rng.random() < 0.8:
+        typo.insert(rng.randint(0, len(typo)), "z")
+    typo = "".join(typo)
+    for i in near:
+        fix = "z" in typo and rng.random() < 0.7
+        at = typo.index("z") if fix else rng.randrange(len(typo) + 1)
+        edit = rng.choice(("sub", "ins", "del")) if at < len(typo) else "ins"
+        ch = rng.choice(letters[i])
+        word = {
+            "sub": typo[:at] + ch + typo[at + 1 :],
+            "ins": typo[:at] + ch + typo[at:],
+            "del": typo[:at] + typo[at + 1 :],
+        }[edit]
+        if word:
+            lexicons[i][word] = rng.randint(1, 5)
+    packs = []
+    for i, (alpha, lexicon) in enumerate(zip(letters, lexicons)):
+        alphabet = Alphabet((" ", *alpha))
+        # a letter outside the alphabet is rare, so a typo holding one
+        # scores well below the word it is one edit from
+        v = alphabet.size
+        table = [rng.uniform(-9.0, -6.0) if k % v == v - 1 else rng.uniform(-3.0, -0.1)
+                 for k in range(v**3)]
+        model = TrigramModel(language=f"l{i}", alphabet=alphabet, table=table, alpha=0.5)
+        tau = Threshold(model.language, draw(st.floats(-12.0, 0.0)))
+        packs.append(make_pack(model, tau, Trie(lexicon)))
+    lead = [rng.choice(list(rng.choice(lexicons))) for _ in range(draw(st.integers(0, 2)))]
+    return packs, " ".join([*lead, typo])
+
+
+def test_rescue_matches_the_rescore_everything_reference():
+    outcomes = set()
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=rescue_cases())
+    def check(case):
+        packs, text = case
+        engine = Engine(packs, EngineConfig(languages=[p.language for p in packs]))
+        state = engine.new_state()
+        detection = engine.detect(text, state)
+        outcome, *expected = reference_detect(engine, text)
+        outcomes.add(outcome)
+        language, scores, path, corrected, scored = expected
+        assert (detection.language, detection.path, detection.corrected) == (
+            language, path, corrected
+        )
+        assert dict(detection.scores) == scores
+        assert state.contexts_scored == scored
+
+    check()
+    assert {"passing rescue", "failing rescue", "two or more"} <= outcomes
 
 
 class TestMonolingualSanity:

@@ -20,16 +20,7 @@ from lde.trie import (
     word_frequencies,
 )
 
-
-def levenshtein(a: str, b: str) -> int:
-    """Independent DP oracle: substitution, insertion, deletion, cost 1."""
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+from conftest import levenshtein
 
 
 class TestInsertContains:
@@ -195,8 +186,11 @@ class TestEdit1Candidates:
         assert trie.edit1_candidates("cab") == [("ab", 1), ("ca", 1)]
         assert trie.edit1_candidates("aab") == [("ab", 1)]
         assert trie.edit1_candidates("axb") == [("ab", 1)]
+        probed = len(generated)
+        # two foreign letters: rejected by the letter check, before any probe
         assert trie.edit1_candidates("xax") == []
         assert trie.edit1_candidates("axxb") == []
+        assert len(generated) == probed
         assert generated == [
             # no bad pair: the word, both deletions, a substitution at each
             # letter (by itself) and the insertions c+ab, ab+c; the full
@@ -210,9 +204,6 @@ class TestEdit1Candidates:
             ["ab", "ab", "cab"],
             # a foreign letter spoils the pairs on both sides: its deletion
             ["ab"],
-            # bad pairs more than one position apart: no probe at all
-            [],
-            [],
         ]
 
     def test_insert_after_search_extends_the_index(self):
@@ -222,6 +213,46 @@ class TestEdit1Candidates:
         trie.insert("cde", 4)  # new letters and pairs ^c cd de e$
         assert trie.edit1_candidates("cd") == [("cde", 4)]
         assert trie.edit1_candidates("cb") == [("ab", 1)]
+
+    def test_letter_check_matches_brute_force(self, monkeypatch):
+        """Queries holding 0, 1 or 2 foreign letters, a repeated one and
+        non-ASCII ones, before and after an insert adds a letter."""
+        lexicon = {"ab": 3, "b\u00e9a": 2, "\u00e9\u00e9": 5, "aab": 1}
+        trie = Trie(dict(lexicon))
+        probed = []
+        probes = lde.trie.pair_probes
+        monkeypatch.setattr(
+            lde.trie, "pair_probes", lambda word, *index: probed.append(word) or probes(word, *index)
+        )
+
+        def check(query: str, foreign: str):
+            before = len(probed)
+            expected = sorted(
+                ((w, wt) for w, wt in lexicon.items() if levenshtein(query, w) <= 1),
+                key=lambda item: (-item[1], item[0]),
+            )
+            assert trie.edit1_candidates(query, max_results=len(lexicon)) == expected, query
+            assert trie.edit1_candidates(query, max_results=1) == expected[:1], query
+            held = sum(ch in foreign for ch in query)
+            assert (len(probed) == before) == (held > 1), query
+            return expected
+
+        queries = (
+            "ab", "\u00e9\u00e9", "ba",  # no foreign letter
+            "axb", "x\u00e9", "\u00dfab", "b\u00e9\U0001d51e",  # one, some non-ASCII
+            "xax", "a\u00df\U0001d51e", "x\u00df",  # two distinct
+            "xx", "axxb", "\u00df\u00df",  # one letter twice
+        )
+        hits = [q for q in queries if check(q, "x\u00df\U0001d51e")]
+        assert hits == list(queries[:7])
+        # the letter table is derived with the pair index, so it follows an
+        # insert that adds a letter
+        trie.insert("axb", 4)
+        lexicon["axb"] = 4
+        assert check("axxb", "\u00df\U0001d51e") == [("axb", 4)]
+        assert check("\u00dfxb", "\u00df\U0001d51e") == [("axb", 4)]
+        for query in queries:
+            check(query, "\u00df\U0001d51e")
 
     def test_pair_table_does_not_scale_with_code_points(self):
         words = ["\U0001d51e" * 3 + "b", "b\U0001d51e"]  # U+1D51E, past 1.1M

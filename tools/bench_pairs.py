@@ -10,7 +10,9 @@ run's metrics are appended to `--out` (created if missing) under the
 workload, with the seed, the order and both revisions, so one file can
 collect several workloads and the traced runs.  The summary per metric
 gives each side's median and quartiles over all recorded untraced pairs
-and how many pairs the change won.
+and how many pairs the change won.  A run that exits non-zero or reports
+`correct: false` stops the script with its failures and stderr tail, and
+its pair is not recorded.
 """
 
 from __future__ import annotations
@@ -28,9 +30,16 @@ def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) ->
             "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{root}: no output (exit {done.returncode}): {done.stderr[-500:]}")
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = {}
+    if done.returncode or not result.get("correct"):
+        # a run whose output checks failed measures nothing worth averaging
+        failed = [line for line in lines if line.lstrip().startswith("FAILED")][:10]
+        raise SystemExit("\n".join([f"{root}: {workload} seed {seed}: exit {done.returncode}, "
+                                    f"correct={result.get('correct')}", *failed,
+                                    done.stderr[-2000:]]))
     return {name: metric["value"] for name, metric in result["metrics"].items()} | {
         "failed": result["failed"], "attempted": result["attempted"]}
 
