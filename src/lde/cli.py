@@ -312,6 +312,13 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def percentile(sorted_values: list[float], q: float) -> float:
+    """Nearest-rank q-th percentile of an ascending, non-empty list: the
+    smallest value that at least q% of the values do not exceed."""
+    rank = max(1, -(-len(sorted_values) * q // 100))
+    return sorted_values[int(rank) - 1]
+
+
 def cmd_bench(args) -> int:
     engine, pack_sizes = _load_engine(args)
     contexts = [line for line in _read_lines(args.contexts) if line.strip()]
@@ -322,7 +329,7 @@ def cmd_bench(args) -> int:
     for raw in contexts[:100]:
         engine.detect(raw, engine.new_state())
 
-    samples_ns = []
+    samples: list[tuple[float, str]] = []  # (us, path) per call
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -330,20 +337,30 @@ def cmd_bench(args) -> int:
             raw = contexts[i % len(contexts)]
             state = engine.new_state()
             t0 = time.perf_counter_ns()
-            engine.detect(raw, state)
-            samples_ns.append(time.perf_counter_ns() - t0)
+            detection = engine.detect(raw, state)
+            elapsed_ns = time.perf_counter_ns() - t0
+            samples.append((elapsed_ns / 1000.0, detection.path.value))
     finally:
         if gc_was_enabled:
             gc.enable()
 
-    samples_us = sorted(ns / 1000.0 for ns in samples_ns)
+    samples.sort()
+    samples_us = [us for us, _ in samples]
+    by_path: dict[str, list[float]] = {}  # each ascending, as `samples` is
+    for us, path in samples:
+        by_path.setdefault(path, []).append(us)
+    paths = {
+        path: {"count": len(times), "p50_us": percentile(times, 50), "p99_us": percentile(times, 99)}
+        for path, times in sorted(by_path.items())
+    }
     _print_json(
         {
             "iters": args.iters,
             "languages": len(engine.languages),
             "mean_us": statistics.fmean(samples_us),
-            "p50_us": samples_us[len(samples_us) // 2],
-            "p99_us": samples_us[min(len(samples_us) - 1, int(len(samples_us) * 0.99))],
+            "p50_us": percentile(samples_us, 50),
+            "p99_us": percentile(samples_us, 99),
+            "paths": paths,
             "pack_bytes": pack_sizes,
         }
     )

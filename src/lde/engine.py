@@ -15,9 +15,13 @@ top of that sit three heuristics: proper-noun exclusion (trailing names
 are dropped and the context is selected again from the words before
 them), a session LRU cache keyed by the context that is scored, and typo
 rescue for out-of-lexicon tokens one edit away from a word in a
-non-current language.  A rescue first scores the corrected context with
-the rescued language's table alone, since only that score decides it;
-every pack scores the context only for a rescue that passes.  `detect`
+non-current language.  A rescue searches a whole lexicon only for a
+language that the correction can lift to its threshold, by an exact
+upper bound on what one edit can gain a word (`ngram.edit1_gain_bound`);
+the languages it rules out are searched only to find a candidate that
+blocks a passing rescue.  It scores the corrected context with the
+rescued language's table alone, since only that score decides it; every
+pack scores the context only for a rescue that passes.  `detect`
 is one pass: it strips the text once, makes one cache lookup and at most
 one cache write, and sets the session language once.
 """
@@ -37,6 +41,7 @@ from .ngram import (
     WHITESPACE,
     _NORMALIZE_TABLE,
     _CharTable,
+    edit1_gain_bound,
     normalize_text,
     scoring_view,
     sequence_log_probs,
@@ -128,6 +133,12 @@ def context_tokens(text: str, config: EngineConfig) -> list[str]:
 def _recency(r: float, n: int) -> tuple[list[float], float]:
     """The weight r^(n-1-k) of word k of n, and the weights' sum."""
     return [r ** (n - 1 - k) for k in range(n)], sum(r ** k for k in range(n))
+
+
+# what rounding can move a score by: scores, gains and their sums are each
+# a few dozen float operations on log-probabilities of at most a few
+# hundred, so their errors stay near 1e-12, far inside this margin
+_ROUNDING = 1e-9
 
 
 class DetectionPath(Enum):
@@ -225,6 +236,8 @@ class Engine:
         # what score_context reads per pack, in registration order
         self._views = tuple(scoring_view(pack.model) for pack in self.packs.values())
         self._taus = tuple((lang, pack.tau) for lang, pack in self.packs.items())
+        self._maxima = tuple(pack.maxima for pack in self.packs.values())
+        self._lexicons = tuple(pack.lexicon for pack in self.packs.values())
         # recency weights and weight mass of every context length detect selects
         self._recency = {
             n: _recency(config.r, n) for n in range(1, config.max_context_extension + 1)
@@ -294,7 +307,7 @@ class Engine:
         if passed:
             detection = Detection(language, scores, DetectionPath.NORMAL)
         else:
-            detection = self._typo_rescue(tokens, state) or Detection(
+            detection = self._typo_rescue(tokens, scores, state) or Detection(
                 language, scores, DetectionPath.FALLBACK
             )
 
@@ -310,26 +323,59 @@ class Engine:
             return Detection(detection.language, detection.scores, DetectionPath.PROPER_NOUN)
         return detection
 
-    def _typo_rescue(self, tokens: Sequence[str], state: EngineState) -> Detection | None:
+    def _typo_rescue(
+        self, tokens: Sequence[str], scores: Mapping[str, float], state: EngineState
+    ) -> Detection | None:
         """Try to read the trailing token as a typo of a foreign word.
 
         Only fires when the token is in no language's lexicon and exactly
         one non-current language offers an edit-distance-1 candidate whose
-        corrected context clears that language's threshold.  The search
-        stops at the second language that offers one.  The rescued
-        language's table alone scores the corrected context for the
-        threshold test, giving the very float `score_context` gives it;
-        every pack scores it only once the rescue passes, for the scores
-        the detection carries.
+        corrected context clears that language's threshold.  A lexicon
+        whose words lack two of the token's letters offers none and is not
+        searched; those lacking one, whose search only edits that letter,
+        are searched first.  The search stops at the second language that
+        offers a candidate.
+
+        A search that no letter limits covers the whole lexicon, so while
+        no candidate is in hand it is made only for a language the
+        correction can lift to the threshold.  The last word weighs 1, so
+        a correction `w` of it scores `scores[lang] + (lp(w) - lp(last)) /
+        mass`, and `edit1_gain_bound` bounds that gain from above.  A
+        language whose bound stays below `LOG_HALF` by more than
+        `_ROUNDING` cannot pass; its candidate could only block another
+        language's rescue, so it is searched only once another
+        language's candidate has passed.  With no such candidate the
+        rescue fails unsearched.
+
+        The rescued language's table alone scores the corrected context
+        for the threshold test, giving the very float `score_context`
+        gives it; every pack scores it only once the rescue passes, for the
+        scores the detection carries.  The answer is the one that searching
+        every language and scoring every candidate would give.
         """
         last = tokens[-1]
-        if any(last in pack.lexicon for pack in self.packs.values()):
+        lexicons = self._lexicons
+        if any(last in lexicon for lexicon in lexicons):
             return None
+        current = state.current_language
+        limited, unlimited = [], []
+        for i, (lang, _) in enumerate(self._taus):
+            if lang != current:
+                foreign = lexicons[i].foreign_letters(last)
+                if foreign < 2:
+                    (limited if foreign else unlimited).append(i)
+        reach = LOG_HALF - _ROUNDING
+        mass = (self._recency.get(len(tokens)) or _recency(self.config.r, len(tokens)))[1]
         rescue = None
-        for i, (lang, pack) in enumerate(self.packs.items()):
-            if lang == state.current_language:
-                continue
-            found = pack.lexicon.edit1_candidates(last, max_results=1)
+        deferred = []
+        for k, i in enumerate(limited + unlimited):
+            if rescue is None and k >= len(limited):
+                lang = self._taus[i][0]
+                gain = edit1_gain_bound(self._views[i], self._maxima[i], last)
+                if scores[lang] + gain / mass < reach:
+                    deferred.append(i)
+                    continue
+            found = lexicons[i].edit1_candidates(last, max_results=1)
             if found:
                 if rescue is not None:
                     return None
@@ -340,6 +386,8 @@ class Engine:
         language = self._taus[i][0]
         corrected = [*tokens[:-1], word]
         if self._adjusted((self._views[i],), (self._taus[i],), corrected)[language] < LOG_HALF:
+            return None
+        if any(lexicons[j].edit1_candidates(last, max_results=1) for j in deferred):
             return None
         rescored = self.score_context(corrected)
         state.contexts_scored += 1

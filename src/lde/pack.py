@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ngram import Alphabet, TrigramModel
+from .ngram import Alphabet, Maxima, TrigramModel, trigram_maxima
 from .selector import Threshold
 from .trie import Trie
 
@@ -63,13 +63,18 @@ class PackSizes(NamedTuple):
 
 @dataclass
 class LanguagePack:
-    """In-memory view of one unpacked language file."""
+    """In-memory view of one unpacked language file.
+
+    `maxima` bounds what one edit can gain a word (`ngram.edit1_gain_bound`);
+    it is derived from the table when the pack is made, not stored.
+    """
 
     language: str
     model: TrigramModel
     tau: float
     lexicon: Trie
     proper_nouns: Trie
+    maxima: Maxima
 
 
 def quantize_table(table: list[float]) -> tuple[float, float, np.ndarray]:
@@ -85,8 +90,12 @@ def quantize_table(table: list[float]) -> tuple[float, float, np.ndarray]:
     return lo, scale, q
 
 
+def _dequantized(lo: float, scale: float, q: np.ndarray) -> np.ndarray:
+    return lo + q.astype(np.float64) * scale
+
+
 def dequantize_table(lo: float, scale: float, q: np.ndarray) -> list[float]:
-    return (lo + q.astype(np.float64) * scale).tolist()
+    return _dequantized(lo, scale, q).tolist()
 
 
 def _pack_str(text: str) -> bytes:
@@ -273,7 +282,7 @@ def read_pack(path) -> LanguagePack:
         raise MalformedPackError(
             f"non-finite value: alpha={alpha} lo={lo} scale={scale} tau={tau}"
         )
-    table = dequantize_table(lo, scale, q)
+    cube = _dequantized(lo, scale, q)
 
     lexicon = Trie(reader.words(weighted=True))
     lexicon.pair_index()  # derived at load, so no typo pays for it
@@ -281,13 +290,14 @@ def read_pack(path) -> LanguagePack:
     if not reader.at_end():
         raise MalformedPackError("unparsed bytes at end of payload")
 
-    model = TrigramModel(language=language, alphabet=alphabet, table=table, alpha=alpha)
+    model = TrigramModel(language=language, alphabet=alphabet, table=cube.tolist(), alpha=alpha)
     return LanguagePack(
         language=language,
         model=model,
         tau=tau,
         lexicon=lexicon,
         proper_nouns=proper_nouns,
+        maxima=trigram_maxima(cube, v),
     )
 
 
@@ -308,6 +318,7 @@ def make_pack(
         tau=tau.tau,
         lexicon=lexicon if lexicon is not None else Trie(),
         proper_nouns=proper_nouns if proper_nouns is not None else Trie(),
+        maxima=trigram_maxima(model.table, model.alphabet.size),
     )
 
 

@@ -82,6 +82,14 @@ class Trie:
             self._known = str.maketrans("", "", "".join(self._pairs[0]))
         return self._pairs
 
+    def foreign_letters(self, word: str) -> int:
+        """How many letters of `word` no lexicon word holds, each repeat
+        counted: with two or more, no word is one edit away, and with one,
+        an edit-1 search only edits that letter."""
+        if self._pairs is None:
+            self.pair_index()
+        return len(word.translate(self._known))
+
     def edit1_candidates(self, word: str, max_results: int = 10) -> list[tuple[str, int]]:
         """Words in the lexicon within Levenshtein distance 1 of `word`.
 
@@ -94,10 +102,10 @@ class Trie:
         """
         if not word:
             raise ValueError("empty word")
-        weights = self._weights
-        follow, lead = self._pairs or self.pair_index()
-        if len(word.translate(self._known)) > 1:
+        if self.foreign_letters(word) > 1:
             return []
+        weights = self._weights
+        follow, lead = self._pairs
         hits = weights.keys() & pair_probes(word, follow, lead)
         if not hits:
             return []

@@ -53,6 +53,19 @@ def levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
+def one_edit(word: str, letters: str):
+    """Every non-empty string one deletion, substitution or insertion from
+    `word` over `letters`."""
+    for i in range(len(word) + 1):
+        for ch in letters:
+            yield word[:i] + ch + word[i:]
+        if i < len(word):
+            if len(word) > 1:
+                yield word[:i] + word[i + 1 :]
+            for ch in letters:
+                yield word[:i] + ch + word[i + 1 :]
+
+
 def model_from_probs(
     alphabet: Alphabet,
     default_p: float,

@@ -4,7 +4,7 @@ import json
 import pytest
 
 import lde.cli
-from lde.cli import main
+from lde.cli import main, percentile
 from lde.pack import read_pack
 from lde.evaluation import write_tagged_tsv
 from lde.synth import corpus_lines, disjoint_pair, intra_sentences
@@ -361,6 +361,17 @@ class TestBench:
         assert report["mean_us"] > 0
         assert report["p50_us"] <= report["p99_us"]
         assert set(report["pack_bytes"]) == {"aa", "bb"}
+        paths = report["paths"]
+        assert sum(path["count"] for path in paths.values()) == 300
+        assert all(path["p50_us"] <= path["p99_us"] for path in paths.values())
+
+    def test_percentile_is_nearest_rank(self):
+        values = [float(v) for v in range(1, 101)]
+        # of 100 samples, p99 is the 99th, not the largest, and p50 the 50th
+        assert (percentile(values, 50), percentile(values, 99)) == (50.0, 99.0)
+        assert percentile(values, 100) == 100.0
+        assert percentile(values[:3], 50) == 2.0
+        assert percentile([7.0], 99) == percentile([7.0], 0) == 7.0
 
     def test_languages_and_recency(self, workspace, capsys, tmp_path):
         contexts = tmp_path / "contexts.txt"

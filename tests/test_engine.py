@@ -21,7 +21,7 @@ from lde.selector import LOG_HALF, select_language
 from lde.synth import LATIN, intra_sentences
 from lde.trie import Trie
 
-from conftest import levenshtein, model_from_probs, simple_pack
+from conftest import levenshtein, model_from_probs, one_edit, simple_pack
 
 
 # what a keyboard sends: U+0020-U+2FFF, emoji with skin tones and joiners,
@@ -460,6 +460,49 @@ class TestTypoRescue:
         assert detection.path is DetectionPath.FALLBACK
         assert searched == ["ksl", "ksl"]
 
+    @pytest.mark.parametrize("yy_tau, path, searched", [
+        (50.0, DetectionPath.FALLBACK, []),
+        (-2.0, DetectionPath.TYPO_RESCUE, ["kall"]),
+    ])
+    def test_a_whole_lexicon_is_searched_only_if_its_threshold_is_reachable(
+        self, monkeypatch, yy_tau, path, searched
+    ):
+        # every letter of "kall" is one yy's lexicon holds, so no letter
+        # limits its search; with tau 50 no edit lifts yy to its threshold
+        engine = self.rescue_engine(yy_tau=yy_tau)
+        calls = []
+        search = Trie.edit1_candidates
+
+        def spy(trie, word, max_results=10):
+            calls.append(word)
+            return search(trie, word, max_results)
+
+        monkeypatch.setattr(Trie, "edit1_candidates", spy)
+        detection = engine.detect("kall", engine.new_state())
+        assert detection.path is path
+        assert calls == searched
+
+    def test_a_language_that_cannot_pass_still_blocks(self, monkeypatch):
+        # "kaal" holds only letters both zz and yy hold; zz, first, cannot
+        # pass and is passed over until yy's "kal" clears its threshold,
+        # then searched: its "kaa" blocks the rescue
+        engine = self.rescue_engine()
+        model_z = model_from_probs(ALPHABET, 0.05, language="zz")
+        xx, yy = engine.packs.values()
+        zz = simple_pack(model_z, tau=50.0, lexicon_words=("kaa", "l"))
+        engine = Engine([xx, zz, yy], EngineConfig(languages=("xx", "zz", "yy")))
+        searched = []
+        search = Trie.edit1_candidates
+
+        def spy(trie, word, max_results=10):
+            searched.append((trie, word))
+            return search(trie, word, max_results)
+
+        monkeypatch.setattr(Trie, "edit1_candidates", spy)
+        detection = engine.detect("kaal", engine.new_state())
+        assert detection.path is DetectionPath.FALLBACK
+        assert searched == [(yy.lexicon, "kaal"), (zz.lexicon, "kaal")]
+
     def test_in_lexicon_token_not_rescued(self):
         engine = self.rescue_engine()
         state = engine.new_state()
@@ -531,20 +574,39 @@ def reference_detect(engine: Engine, text: str) -> tuple:
         near = [(-wt, w) for w, wt in pack.lexicon.items() if levenshtein(last, w) <= 1]
         if near and lang != current:
             offers.append((lang, min(near)[1]))
+
+    def rescored(word):
+        return engine.score_context([*tokens[:-1], word])
+
+    def can_pass(lang):
+        # some string one edit from the token, over the alphabet and a
+        # letter outside it, lifts the language to its threshold
+        letters = "".join(engine.packs[lang].model.alphabet.symbols) + "z"
+        return any(rescored(s)[lang] >= LOG_HALF for s in one_edit(last, letters))
+
+    if offers and not any(can_pass(lang) for lang in engine.languages if lang != current):
+        return ("ruled out", *fallback)
     if len(offers) != 1:
+        if any(rescored(word)[lang] >= LOG_HALF for lang, word in offers) and not all(
+            can_pass(lang) for lang, _ in offers
+        ):
+            return ("blocked", *fallback)
         return ("two or more" if offers else "no candidate", *fallback)
     lang, word = offers[0]
-    rescored = engine.score_context([*tokens[:-1], word])
-    if rescored[lang] < LOG_HALF:
+    if rescored(word)[lang] < LOG_HALF:
         return ("failing rescue", *fallback)
-    return "passing rescue", lang, rescored, DetectionPath.TYPO_RESCUE, (word, lang), 2
+    return "passing rescue", lang, rescored(word), DetectionPath.TYPO_RESCUE, (word, lang), 2
+
 
 
 @st.composite
 def rescue_cases(draw):
     """3-5 packs over random alphabets, lexicons and taus, and a context
     whose last token is one edit from words of 0, 1 or 2 non-current
-    languages (more if their lexicons happen to hold such words)."""
+    languages (more if their lexicons happen to hold such words).  Some
+    tokens hold only letters that the lexicons they are near hold, so
+    those searches are ones no letter limits; of two such lexicons, the
+    first may belong to a language that never reaches its threshold."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(3, 5))
     letters = [rng.sample("abcdefgh", rng.randint(3, 6)) for _ in range(n)]
@@ -556,9 +618,18 @@ def rescue_cases(draw):
     # language 0 is the current one; the typo is mostly a z, which no
     # alphabet holds, among letters of near[0], and mostly edited at the z
     near = rng.sample(range(1, n), draw(st.integers(0, 2)))
-    typo = rng.choices(letters[near[0]] if near else "abcdefgh", k=rng.randint(1, 4))
-    if rng.random() < 0.8:
-        typo.insert(rng.randint(0, len(typo)), "z")
+    # no edit reaches a threshold of 30: of two languages a typo of their
+    # letters is near, the first can then only block a rescue into the other
+    blocker = min(near) if len(near) == 2 and rng.random() < 0.5 else None
+    if blocker is not None or rng.random() < 0.3:
+        # letters that every lexicon the typo is near holds, if any do
+        holders = [set("".join(lexicons[i])) for i in near or [rng.randrange(1, n)]]
+        held = set.intersection(*holders) or holders[-1]
+        typo = rng.choices(sorted(held), k=rng.randint(1, 4))
+    else:
+        typo = rng.choices(letters[near[0]] if near else "abcdefgh", k=rng.randint(1, 4))
+        if rng.random() < 0.8:
+            typo.insert(rng.randint(0, len(typo)), "z")
     typo = "".join(typo)
     for i in near:
         fix = "z" in typo and rng.random() < 0.7
@@ -581,7 +652,7 @@ def rescue_cases(draw):
         table = [rng.uniform(-9.0, -6.0) if k % v == v - 1 else rng.uniform(-3.0, -0.1)
                  for k in range(v**3)]
         model = TrigramModel(language=f"l{i}", alphabet=alphabet, table=table, alpha=0.5)
-        tau = Threshold(model.language, draw(st.floats(-12.0, 0.0)))
+        tau = Threshold(model.language, 30.0 if i == blocker else draw(st.floats(-12.0, 0.0)))
         packs.append(make_pack(model, tau, Trie(lexicon)))
     lead = [rng.choice(list(rng.choice(lexicons))) for _ in range(draw(st.integers(0, 2)))]
     return packs, " ".join([*lead, typo])
@@ -590,7 +661,7 @@ def rescue_cases(draw):
 def test_rescue_matches_the_rescore_everything_reference():
     outcomes = set()
 
-    @settings(deadline=None, max_examples=300)
+    @settings(deadline=None, max_examples=500)
     @given(case=rescue_cases())
     def check(case):
         packs, text = case
@@ -607,7 +678,7 @@ def test_rescue_matches_the_rescore_everything_reference():
         assert state.contexts_scored == scored
 
     check()
-    assert {"passing rescue", "failing rescue", "two or more"} <= outcomes
+    assert {"passing rescue", "failing rescue", "two or more", "ruled out", "blocked"} <= outcomes
 
 
 class TestMonolingualSanity:

@@ -3,11 +3,21 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lde import build_alphabet, normalize_text, perplexity, train_trigram
-from lde.ngram import Alphabet
+from lde import Threshold, build_alphabet, normalize_text, perplexity, read_pack, train_trigram
+from lde.ngram import (
+    Alphabet,
+    TrigramModel,
+    edit1_gain_bound,
+    scoring_view,
+    trigram_maxima,
+)
+from lde.pack import write_pack
+from lde.trie import Trie
 
-from conftest import model_from_probs
+from conftest import model_from_probs, one_edit
 
 
 class TestNormalizeText:
@@ -289,3 +299,60 @@ def test_perplexity_empty_heldout(toy_alphabet):
     model = train_trigram(["ab ab"], toy_alphabet, 0.5)
     with pytest.raises(ValueError):
         perplexity(model, ["", "  "])
+
+
+OUTSIDE = "z"  # in no alphabet below
+
+
+@st.composite
+def bound_cases(draw):
+    """A model over a random alphabet with a random finite table, and a
+    word of its letters and `OUTSIDE`."""
+    letters = draw(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=4, unique=True))
+    alphabet = Alphabet((" ", *letters))
+    v = alphabet.size
+    # entries in [low, low + spread]: a narrow spread far below 0 makes a
+    # deletion, which drops a term, the best edit
+    low, spread = draw(st.floats(-30.0, 0.0)), draw(st.floats(0.0, 30.0))
+    units = draw(st.lists(st.floats(0.0, 1.0), min_size=v**3, max_size=v**3))
+    table = [low + spread * unit for unit in units]
+    model = TrigramModel(language="xx", alphabet=alphabet, table=table, alpha=0.5)
+    word = draw(st.text(st.sampled_from([*letters, OUTSIDE]), min_size=1, max_size=6))
+    return model, word
+
+
+class TestEdit1GainBound:
+    @settings(max_examples=300, deadline=None)
+    @given(case=bound_cases())
+    def test_never_below_the_best_edit(self, case):
+        model, word = case
+        maxima = trigram_maxima(model.table, model.alphabet.size)
+        bound = edit1_gain_bound(scoring_view(model), maxima, word)
+        here = model.word_log_prob(word)
+        # the substituted or inserted letter runs over every table slot:
+        # the alphabet, whitespace included, and a letter outside it
+        letters = "".join(model.alphabet.symbols) + OUTSIDE
+        best = max(model.word_log_prob(s) - here for s in one_edit(word, letters))
+        # both sides are float sums of a few terms of at most 30; they may
+        # differ by rounding only
+        assert bound >= best - 1e-12
+
+    def test_a_deletion_counts_exactly(self, toy_alphabet):
+        # every entry is -50 but that of "b" first: deleting the "a" of
+        # "ab" gains 99, and no substitution or insertion can gain as much
+        v = toy_alphabet.size
+        table = [-50.0] * v**3
+        table[toy_alphabet.index_of("b")] = -1.0
+        model = TrigramModel(language="xx", alphabet=toy_alphabet, table=table, alpha=0.5)
+        maxima = trigram_maxima(table, v)
+        gain = model.word_log_prob("b") - model.word_log_prob("ab")
+        assert gain == 99.0
+        assert edit1_gain_bound(scoring_view(model), maxima, "ab") == gain
+
+    def test_read_pack_derives_the_maxima_of_its_table(self, toy_alphabet, tmp_path):
+        lines = ["ab ba aab", "bab abba", "a b ab"]
+        model = train_trigram(lines, toy_alphabet, language="xx")
+        path = tmp_path / "xx.ldep"
+        write_pack(model, Threshold("xx", -3.0), Trie({"ab": 1}), path)
+        pack = read_pack(path)
+        assert pack.maxima == trigram_maxima(pack.model.table, toy_alphabet.size)

@@ -10,7 +10,9 @@ run's metrics are appended to `--out` (created if missing) under the
 workload, with the seed, the order and both revisions, so one file can
 collect several workloads and the traced runs.  The summary per metric
 gives each side's median and quartiles over all recorded untraced pairs
-and how many pairs the change won.  A run that exits non-zero or reports
+and how many pairs the change won.  After each pair one line shows its
+seed, its order and both sides' `PROGRESS` metrics, so that a claim can be
+followed while the pairs run.  A run that exits non-zero or reports
 `correct: false` stops the script with its failures and stderr tail, and
 its pair is not recorded.
 """
@@ -23,6 +25,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+# the metrics each pair's progress line shows for both sides
+PROGRESS = ("detect_p50_us", "detect_p99_us", "detect_per_s")
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -94,7 +99,7 @@ def main() -> int:
                                   args.seconds, args.trace)
         entry["traced" if args.trace else "pairs"].append(pair)
         print(json.dumps({k: pair[k] for k in ("seed", "order")}
-                         | {s: pair[s].get("detect_p50_us") for s in ("parent", "change")}),
+                         | {s: {m: pair[s].get(m) for m in PROGRESS} for s in ("parent", "change")}),
               flush=True)
         entry["summary"] = summary(entry["pairs"], better)
         out.write_text(json.dumps(doc, indent=1) + "\n")
