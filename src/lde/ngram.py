@@ -282,7 +282,8 @@ def edit1_gain_bound(view: ScoringView, maxima: Maxima, word: str) -> float:
     p = [0, 0, *[get(ch, oov) for ch in word]]  # letter k is p[k + 2]
     ctx = [p[k] * v + p[k + 1] for k in range(n + 1)]  # letter k's context
     term = [table[ctx[k] * v + p[k + 2]] for k in range(n)]
-    # letter k + 2 re-read after a new letter before letter k + 1 (0 if none)
+    # tail[k]: what letter k + 1's term can gain when the letter two before
+    # it is new, as after an insertion before letter k (0 past the end)
     tail = [over_first[ctx[k + 2]] - term[k + 1] for k in range(n - 1)] + [0.0, 0.0]
     best = over_last[ctx[n]]  # an insertion after the last letter
     for k in range(n):

@@ -598,7 +598,6 @@ def reference_detect(engine: Engine, text: str) -> tuple:
     return "passing rescue", lang, rescored(word), DetectionPath.TYPO_RESCUE, (word, lang), 2
 
 
-
 @st.composite
 def rescue_cases(draw):
     """3-5 packs over random alphabets, lexicons and taus, and a context
