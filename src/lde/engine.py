@@ -2,19 +2,18 @@
 
 Input text goes through one `str.translate` with a table that maps each
 character straight to its stripped, lowercased and filtered form (emoji,
-symbols, controls, marks, digits and punctuation out; whitespace runs
-collapsed); only a text holding `Σ`, whose lowercase depends on its
-neighbours, takes the two-pass strip-then-`normalize_text` path.  The
-trailing context window is then sliced off (extending past short
-tokens), and every loaded language scores the context with its
-recency-weighted trigram model minus its threshold: one flat loop
-(`ngram.sequence_log_probs`) walks every token through every pack's
-table, with no call per pack or per word, using recency weights and
-weight masses computed once per engine for each context length.  On
-top of that sit three heuristics: proper-noun exclusion (trailing names
-are dropped and the context is selected again from the words before
-them), a session LRU cache keyed by the context that is scored, and typo
-rescue for out-of-lexicon tokens one edit away from a word in a
+symbols, controls, marks, digits and punctuation out) and one `split`
+into words; only a text holding `Σ`, whose lowercase depends on its
+neighbours, takes the two-pass strip-then-`normalize_text` path.
+Trailing proper nouns, which say nothing about the language, are popped
+off that word list, and the trailing context window is sliced off what
+is left (extending past short tokens).  Every loaded language scores the
+context with its recency-weighted trigram model minus its threshold: one
+flat loop (`ngram.sequence_log_probs`) walks every token through every
+pack's table, with no call per pack or per word, using recency weights
+and weight masses computed once per engine for each context length.  On
+top of that sit a session LRU cache keyed by the context that is scored,
+and typo rescue for out-of-lexicon tokens one edit away from a word in a
 non-current language.  A rescue searches a whole lexicon only for a
 language that the correction can lift to its threshold, by an exact
 upper bound on what one edit can gain a word (`ngram.edit1_gain_bound`);
@@ -22,8 +21,9 @@ the languages it rules out are searched only to find a candidate that
 blocks a passing rescue.  It scores the corrected context with the
 rescued language's table alone, since only that score decides it; every
 pack scores the context only for a rescue that passes.  `detect`
-is one pass: it strips the text once, makes one cache lookup and at most
-one cache write, and sets the session language once.
+is one pass: it splits the text into words once, selects the context
+once, makes one cache lookup and at most one cache write, and sets the
+session language once.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import ClassVar, Mapping, NamedTuple, Sequence
 
 from .ngram import (
     DEFAULT_RECENCY,
@@ -70,8 +70,9 @@ def _front_class(ch: str):
 _FRONT_TABLE = _CharTable(_front_class)
 
 
-def strip_symbols(raw: str) -> str:
-    """Drop emoji, pictographs and control characters, then normalize.
+def strip_symbols(raw: str) -> list[str]:
+    """The words of `raw`: emoji, pictographs and control characters
+    dropped, then normalized, then split on whitespace.
 
     One pass through `_FRONT_TABLE` gives what stripping and then
     `normalize_text` give, except for `Σ`: lowercasing a whole string
@@ -79,8 +80,8 @@ def strip_symbols(raw: str) -> str:
     so a text holding one takes the two passes.
     """
     if "Σ" in raw:
-        return normalize_text(raw.translate(_STRIP_TABLE))
-    return " ".join(raw.translate(_FRONT_TABLE).split())
+        return normalize_text(raw.translate(_STRIP_TABLE)).split()
+    return raw.translate(_FRONT_TABLE).split()
 
 
 @dataclass
@@ -88,15 +89,17 @@ class EngineConfig:
     """Tunables for one engine instance.
 
     `languages` is ordered; the first entry is the primary (layout)
-    language and doubles as the initial session language.
+    language and doubles as the initial session language.  The context
+    is the last `context_window` words, extended past words of at most
+    `short_token_len` letters up to `max_context_extension` words; these
+    three are constants, not fields.
     """
 
     languages: Sequence[str]
     r: float = DEFAULT_RECENCY
-    context_window: int = 2
-    short_token_len: int = 2
-    max_context_extension: int = 4
-    cache_capacity: int = 64
+    context_window: ClassVar[int] = 2
+    short_token_len: ClassVar[int] = 2
+    max_context_extension: ClassVar[int] = 4
 
     def __post_init__(self):
         self.languages = tuple(self.languages)
@@ -106,28 +109,21 @@ class EngineConfig:
             raise ValueError("duplicate language codes")
         if not 0.0 < self.r <= 1.0:
             raise ValueError(f"recency factor must be in (0, 1], got {self.r}")
-        if self.context_window < 1:
-            raise ValueError("context_window must be >= 1")
-        if self.max_context_extension < self.context_window:
-            raise ValueError("max_context_extension must be >= context_window")
-        if self.cache_capacity < 1:
-            raise ValueError("cache_capacity must be >= 1")
 
 
-def context_tokens(text: str, config: EngineConfig) -> list[str]:
-    """Select the detection context from normalized text.
+def context_tokens(words: list[str]) -> list[str]:
+    """Select the detection context from the words `strip_symbols` gives.
 
-    Takes the last `context_window` tokens, then keeps prepending earlier
-    tokens while any selected token is short (<= short_token_len chars),
-    up to `max_context_extension` tokens total.
+    Takes the last `EngineConfig.context_window` words, then keeps
+    prepending earlier words while any selected word is short (at most
+    `short_token_len` letters), up to `max_context_extension` words total.
     """
-    tokens = text.split()
-    start = len(tokens) - config.context_window
-    first = len(tokens) - config.max_context_extension
-    short = config.short_token_len
-    while start > 0 and start > first and min(map(len, tokens[start:])) <= short:
+    start = len(words) - EngineConfig.context_window
+    first = len(words) - EngineConfig.max_context_extension
+    short = EngineConfig.short_token_len
+    while start > 0 and start > first and min(map(len, words[start:])) <= short:
         start -= 1
-    return tokens[start:] if start > 0 else tokens
+    return words[max(start, 0):]
 
 
 def _recency(r: float, n: int) -> tuple[list[float], float]:
@@ -164,6 +160,9 @@ class Detection(NamedTuple):
 
 _NO_SCORES: Mapping[str, float] = MappingProxyType({})
 
+# contexts a session's cache keeps
+_CACHE_CAPACITY = 64
+
 
 class LruCache:
     """Bounded map with least-recently-used eviction; get promotes."""
@@ -191,9 +190,6 @@ class LruCache:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def __contains__(self, key) -> bool:
-        return key in self._items
 
 
 @dataclass
@@ -223,8 +219,6 @@ class Engine:
         missing = [lang for lang in config.languages if lang not in by_lang]
         if missing:
             raise ValueError(f"no pack loaded for: {', '.join(missing)}")
-        if not packs:
-            raise ValueError("no packs loaded")
         self.config = config
         # registration order = config order; it breaks selection ties
         self.packs: dict[str, LanguagePack] = {
@@ -249,7 +243,7 @@ class Engine:
 
     def new_state(self) -> EngineState:
         return EngineState(
-            cache=LruCache(self.config.cache_capacity),
+            cache=LruCache(_CACHE_CAPACITY),
             current_language=self.config.languages[0],
         )
 
@@ -276,22 +270,20 @@ class Engine:
         return {lang: lp / mass - tau for (lang, tau), lp in zip(taus, log_probs)}
 
     def detect(self, raw: str, state: EngineState) -> Detection:
-        text = strip_symbols(raw)
+        words = strip_symbols(raw)
         current = state.current_language
-        if not text:
+        if not words:
             return Detection(current, _NO_SCORES, DetectionPath.FALLBACK)
 
-        tokens = context_tokens(text, self.config)
-        noun = tokens[-1] in self.proper_nouns
+        noun = words[-1] in self.proper_nouns
         if noun:
             # a name says nothing about the language: drop every trailing
             # one and decide on the context the words before it give
-            words = text.split()
             while words and words[-1] in self.proper_nouns:
                 words.pop()
             if not words:
                 return Detection(current, _NO_SCORES, DetectionPath.PROPER_NOUN)
-            tokens = context_tokens(" ".join(words), self.config)
+        tokens = context_tokens(words)
 
         key = " ".join(tokens)
         cached = state.cache.get(key)
@@ -365,7 +357,7 @@ class Engine:
                 if foreign < 2:
                     (limited if foreign else unlimited).append(i)
         reach = LOG_HALF - _ROUNDING
-        mass = (self._recency.get(len(tokens)) or _recency(self.config.r, len(tokens)))[1]
+        mass = self._recency[len(tokens)][1]
         rescue = None
         deferred = []
         for k, i in enumerate(limited + unlimited):

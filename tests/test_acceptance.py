@@ -21,7 +21,9 @@ import pytest
 from lde import (
     Engine,
     EngineConfig,
+    EngineState,
     DetectionPath,
+    LruCache,
     NotAPackError,
     PackChecksumError,
     PackVersionError,
@@ -479,10 +481,9 @@ def test_c10_typo_rescue_scenario():
 
 def test_c11_cache_properties(bilingual):
     engine = Engine(
-        bilingual.packs,
-        EngineConfig(languages=tuple(bilingual.models), r=bilingual.r, cache_capacity=4),
+        bilingual.packs, EngineConfig(languages=tuple(bilingual.models), r=bilingual.r)
     )
-    state = engine.new_state()
+    state = EngineState(cache=LruCache(4), current_language=engine.languages[0])
     raw = " ".join(bilingual.lang_a.vocabulary[:2])
     engine.detect(raw, state)
     scored_first = state.contexts_scored  # every scoring reads every pack's table

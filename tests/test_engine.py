@@ -9,6 +9,7 @@ from lde import (
     Engine,
     EngineConfig,
     DetectionPath,
+    EngineState,
     LruCache,
     Threshold,
     TrigramModel,
@@ -40,24 +41,24 @@ _RAW = st.text(
 
 class TestStripSymbols:
     def test_emoji_stripped(self):
-        assert strip_symbols("see you 😂😂") == "see you"
+        assert strip_symbols("see you 😂😂") == ["see", "you"]
 
     def test_all_symbol_input(self):
-        assert strip_symbols("🎉") == ""
+        assert strip_symbols("🎉") == []
 
     def test_punctuation(self):
-        assert strip_symbols("hola!!!") == "hola"
+        assert strip_symbols("hola!!!") == ["hola"]
 
     def test_mixed_pictographs_and_text(self):
-        assert strip_symbols("ok 👍🏽 Done ✅") == "ok done"
+        assert strip_symbols("ok 👍🏽 Done ✅") == ["ok", "done"]
 
     def test_control_characters(self):
-        assert strip_symbols("a\u200db\x07c") == "abc"
+        assert strip_symbols("a\u200db\x07c") == ["abc"]
 
     def test_word_final_sigma(self):
         # lowercasing the whole text makes a word-final capital sigma final
-        assert strip_symbols("ΟΔΟΣ") == "οδος"
-        assert strip_symbols("aΣ1b") == "aςb"
+        assert strip_symbols("ΟΔΟΣ") == ["οδος"]
+        assert strip_symbols("aΣ1b") == ["aςb"]
 
     @settings(deadline=None)
     @given(raw=_RAW)
@@ -65,60 +66,42 @@ class TestStripSymbols:
     @example("aΣ1b")
     @example("İstanbul 👍🏽")
     def test_matches_the_two_pass_reference(self, raw):
-        assert strip_symbols(raw) == oracle.normalise(raw)
+        assert strip_symbols(raw) == oracle.normalise(raw).split()
 
 
 class TestContextTokens:
-    @pytest.fixture()
-    def config(self):
-        return EngineConfig(languages=("aa",))
+    def test_last_two(self):
+        assert context_tokens("can we meet tomorrow".split()) == ["meet", "tomorrow"]
 
-    def test_last_two(self, config):
-        assert context_tokens("can we meet tomorrow", config) == ["meet", "tomorrow"]
-
-    def test_short_tokens_extend_to_cap(self, config):
+    def test_short_tokens_extend_to_cap(self):
         # both trailing tokens are short, so the window grows to the cap
-        assert context_tokens("kya aap to me", config) == ["kya", "aap", "to", "me"]
+        assert context_tokens("kya aap to me".split()) == ["kya", "aap", "to", "me"]
 
-    def test_extension_stops_at_cap(self, config):
+    def test_extension_stops_at_cap(self):
         # extension keeps prepending while short tokens remain, but never
         # selects more than max_context_extension tokens
-        assert context_tokens("one more kya aap to me", config) == [
+        assert context_tokens("one more kya aap to me".split()) == [
             "kya",
             "aap",
             "to",
             "me",
         ]
 
-    def test_fewer_tokens_than_window(self, config):
-        assert context_tokens("hi", config) == ["hi"]
+    def test_fewer_tokens_than_window(self):
+        assert context_tokens(["hi"]) == ["hi"]
 
-    def test_empty_text(self, config):
-        assert context_tokens("", config) == []
+    def test_empty_text(self):
+        assert context_tokens([]) == []
 
-    def test_no_extension_for_long_tokens(self, config):
-        assert context_tokens("alpha beta gamma", config) == ["beta", "gamma"]
+    def test_no_extension_for_long_tokens(self):
+        assert context_tokens("alpha beta gamma".split()) == ["beta", "gamma"]
 
-    def test_custom_window(self):
-        config = EngineConfig(languages=("aa",), context_window=3, max_context_extension=3)
-        assert context_tokens("a1 b2 c3 d4", config) == ["b2", "c3", "d4"]
-
-    @given(
-        words=st.lists(st.text(alphabet="ab", min_size=1, max_size=5), max_size=8),
-        window=st.integers(1, 4),
-        extension=st.integers(0, 3),
-        short=st.integers(0, 4),
-    )
-    def test_matches_the_reference(self, words, window, extension, short):
-        config = EngineConfig(
-            languages=("aa",),
-            context_window=window,
-            max_context_extension=window + extension,
-            short_token_len=short,
-        )
-        text = " ".join(words)
-        assert context_tokens(text, config) == oracle.context(
-            text, window, short, window + extension
+    @given(words=st.lists(st.text(alphabet="ab", min_size=1, max_size=5), max_size=8))
+    def test_matches_the_reference(self, words):
+        # the benchmark's checker reads the three sizes from an engine's config
+        cfg = EngineConfig(languages=("aa",))
+        assert context_tokens(words) == oracle.context(
+            " ".join(words), cfg.context_window, cfg.short_token_len, cfg.max_context_extension
         )
 
 
@@ -129,7 +112,13 @@ class TestEngineConfig:
         assert config.context_window == 2
         assert config.short_token_len == 2
         assert config.max_context_extension == 4
-        assert config.cache_capacity == 64
+        assert two_language_engine().new_state().cache.capacity == 64
+
+    def test_sizes_are_constants_not_fields(self):
+        for name in ("context_window", "short_token_len", "max_context_extension",
+                     "cache_capacity"):
+            with pytest.raises(TypeError):
+                EngineConfig(languages=("aa",), **{name: 8})
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -138,9 +127,6 @@ class TestEngineConfig:
             {"languages": ("aa", "aa")},
             {"languages": ("aa",), "r": 0.0},
             {"languages": ("aa",), "r": 1.5},
-            {"languages": ("aa",), "context_window": 0},
-            {"languages": ("aa",), "max_context_extension": 1},
-            {"languages": ("aa",), "cache_capacity": 0},
         ],
     )
     def test_invalid(self, kwargs):
@@ -284,8 +270,8 @@ class TestDetect:
         assert hit.scores == engine.detect("abab aba", engine.new_state()).scores
 
     def test_lru_eviction_honors_capacity(self):
-        engine = two_language_engine(cache_capacity=3)
-        state = engine.new_state()
+        engine = two_language_engine()
+        state = EngineState(cache=LruCache(3), current_language="xx")
         contexts = ["abab", "aba ab", "abab ab", "ab aba", "abab aba"]
         for raw in contexts:
             engine.detect(raw, state)
@@ -351,7 +337,10 @@ class TestProperNounExclusion:
 
     def test_neutrality(self):
         engine = self.engine_with_nouns()
-        for context in ("aba ab", "mnm mn", "abab", "a mnmn"):
+        # in the last three, short words before the name extend the context
+        # past the window, in the last one up to its cap of four words
+        for context in ("aba ab", "mnm mn", "abab", "a mnmn", "abab ab mn", "mnmn a ab",
+                        "abab mn ab mn ab"):
             base = engine.detect(context, engine.new_state())
             with_noun = engine.detect(context + " delma", engine.new_state())
             assert with_noun.language == base.language
@@ -560,7 +549,7 @@ def reference_detect(engine: Engine, text: str) -> tuple:
     every pack for any unique candidate and then comparing: (outcome,
     language, scores, path, corrected, full scorings)."""
     current = engine.config.languages[0]
-    tokens = context_tokens(text, engine.config)
+    tokens = context_tokens(text.split())
     scores = engine.score_context(tokens)
     language, passed = select_language(scores, current)
     if passed:
@@ -763,8 +752,12 @@ class TestCacheContract:
                           bilingual.lexicons[code], nouns)
                 for code in ("aa", "bb")
             ],
-            EngineConfig(languages=("aa", "bb"), r=bilingual.r, cache_capacity=8),
+            EngineConfig(languages=("aa", "bb"), r=bilingual.r),
         )
+
+        def new_state(language="aa"):
+            return EngineState(cache=LruCache(8), current_language=language)
+
         paths = set()
         for sentence in intra_sentences(bilingual.lang_a, bilingual.lang_b, 300, seed=77):
             rng = random.Random(sentence.id)
@@ -784,10 +777,9 @@ class TestCacheContract:
                 if rng.random() < 0.1:
                     ends.extend(range(end - 1, max(0, end - 8), -1))
                     ends.extend(range(max(1, end - 6), end + 1))
-            state = engine.new_state()
+            state = new_state()
             for end in ends:
-                fresh = engine.new_state()
-                fresh.current_language = state.current_language
+                fresh = new_state(state.current_language)
                 expected = engine.detect(full[:end], fresh)
                 got = engine.detect(full[:end], state)
                 paths.add(got.path)
