@@ -48,7 +48,6 @@ from .selector import (
     LOG_HALF,
     SelectorParams,
     Threshold,
-    adjusted_log_prob,
     build_training_set,
     reduce_parameters,
     select_language,
@@ -80,7 +79,6 @@ __all__ = [
     "TrigramModel",
     "Trie",
     "TruncatedPackError",
-    "adjusted_log_prob",
     "build_alphabet",
     "build_training_set",
     "code_switch_rate",

@@ -9,18 +9,26 @@ Trailing proper nouns, which say nothing about the language, are popped
 off that word list, and the trailing context window is sliced off what
 is left (extending past short tokens).  Every loaded language scores the
 context with its recency-weighted trigram model minus its threshold: one
-flat loop (`ngram.sequence_log_probs`) walks every token through every
+flat loop (`ngram.context_log_probs`) walks every token through every
 pack's table, with no call per pack or per word, using recency weights
-and weight masses computed once per engine for each context length.  On
-top of that sit a session LRU cache keyed by the context that is scored,
-and typo rescue for out-of-lexicon tokens one edit away from a word in a
-non-current language.  A rescue searches a whole lexicon only for a
-language that the correction can lift to its threshold, by an exact
-upper bound on what one edit can gain a word (`ngram.edit1_gain_bound`);
-the languages it rules out are searched only to find a candidate that
-blocks a passing rescue.  It scores the corrected context with the
-rescued language's table alone, since only that score decides it; every
-pack scores the context only for a rescue that passes.  `detect`
+and weight masses computed once per engine for each context length.  It
+gives each pack two parts, the weighted total of every word but the
+last (the head) and the last word's log-probability (the last), and a
+session's state keeps the parts of the context it last scored.  While a
+word is typed, each keystroke gives that context with one more letter on
+its last word, so each pack keeps its head and adds one trigram term to
+its last (`ngram.extended_log_probs`) instead of walking the context
+again.  On top of that sit a session LRU cache keyed by the context that
+is scored, and typo rescue for out-of-lexicon tokens one edit away from
+a word in a non-current language.  A rescue searches a whole lexicon
+only for a language that the correction can lift to its threshold, by
+an exact upper bound on what one edit can gain a word
+(`ngram.edit1_gain_bound`); the languages it rules out are searched only
+to find a candidate that blocks a passing rescue.  It scores the
+corrected context with the heads just kept and a walk of the corrected
+word alone: first in the rescued language's table, since only that
+score decides it, and in every pack's only for a rescue that passes.
+Every score is the very float a walk of the whole context gives.  `detect`
 is one pass: it splits the text into words once, selects the context
 once, makes one cache lookup and at most one cache write, and sets the
 session language once.
@@ -37,14 +45,14 @@ from typing import ClassVar, Mapping, NamedTuple, Sequence
 
 from .ngram import (
     DEFAULT_RECENCY,
-    ScoringView,
     WHITESPACE,
     _NORMALIZE_TABLE,
     _CharTable,
+    context_log_probs,
     edit1_gain_bound,
+    extended_log_probs,
     normalize_text,
     scoring_view,
-    sequence_log_probs,
 )
 from .pack import LanguagePack
 from .selector import LOG_HALF, select_language
@@ -194,7 +202,12 @@ class LruCache:
 
 @dataclass
 class EngineState:
-    """Per-typing-session state; not safe for concurrent mutation."""
+    """Per-typing-session state; not safe for concurrent mutation.
+
+    A state belongs to the engine whose `new_state()` made it: its cache
+    holds that engine's answers.  The scoring parts it keeps are tagged
+    with their engine, so another engine never reuses them.
+    """
 
     cache: LruCache  # context -> (language it depends on or None, CACHE_HIT Detection)
     current_language: str
@@ -202,6 +215,10 @@ class EngineState:
     # misses the cache, plus one per passing typo rescue (the one-table
     # check that decides a rescue does not count)
     contexts_scored: int = 0
+    # the context score_context last scored in this state and what it
+    # found: (the engine's views, every token but the last, the last
+    # token, every pack's head, every pack's last)
+    scored: tuple | None = None
 
 
 class Engine:
@@ -247,7 +264,9 @@ class Engine:
             current_language=self.config.languages[0],
         )
 
-    def score_context(self, tokens: Sequence[str]) -> dict[str, float]:
+    def score_context(
+        self, tokens: Sequence[str], state: EngineState | None = None
+    ) -> dict[str, float]:
         """Adjusted (threshold-subtracted) score per language.
 
         The recency-weighted sum is divided by its weight mass
@@ -256,18 +275,43 @@ class Engine:
         a multi-word context on that same scale, so one-word contexts are
         scored exactly as trained and longer contexts interpolate their
         words instead of stacking them.
-        """
-        return self._adjusted(self._views, self._taus, tokens)
 
-    def _adjusted(
-        self, views: Sequence[ScoringView], taus: Sequence[tuple[str, float]], tokens: Sequence[str]
-    ) -> dict[str, float]:
-        """`score_context` over the packs of `views` and `taus` only: each
-        entry is the very float the call over every pack gives it."""
-        recency = self._recency.get(len(tokens))
-        weights, mass = recency or _recency(self.config.r, len(tokens))
-        log_probs = sequence_log_probs(views, tokens, weights)
-        return {lang: lp / mass - tau for (lang, tau), lp in zip(taus, log_probs)}
+        Each pack's sum is its head, the weighted sum over every word but
+        the last, plus its last, the last word's log-probability (which
+        weighs 1).  Given a `state` of this engine, the call records the
+        tokens with every pack's head and last in it, and when the tokens
+        are those recorded with one letter added to the last word, as
+        while a word is typed, each pack keeps its head and adds one term
+        to its last.  The scores are the very floats a call without a
+        state gives.
+        """
+        if not tokens:
+            raise ValueError("empty context")
+        weights, mass = self._recency.get(len(tokens)) or _recency(self.config.r, len(tokens))
+        head, last = tokens[:-1], tokens[-1]
+        views = self._views
+        scored = state.scored if state is not None else None
+        if (
+            scored is not None
+            and scored[0] is views
+            and scored[2] == last[:-1]
+            and scored[1] == head
+        ):
+            heads = scored[3]
+            lasts = extended_log_probs(views, scored[4], last)
+        else:
+            heads, lasts = context_log_probs(views, tokens, weights)
+        if state is not None:
+            state.scored = (views, head, last, heads, lasts)
+        return self._scores(heads, lasts, mass)
+
+    def _scores(self, heads: list[float], lasts: list[float], mass: float) -> dict[str, float]:
+        """The adjusted scores of a context of weight mass `mass` from
+        every pack's head and last."""
+        return {
+            lang: (head + last) / mass - tau
+            for (lang, tau), head, last in zip(self._taus, heads, lasts)
+        }
 
     def detect(self, raw: str, state: EngineState) -> Detection:
         words = strip_symbols(raw)
@@ -292,7 +336,7 @@ class Engine:
             state.current_language = hit.language
             return hit
 
-        scores = self.score_context(tokens)
+        scores = self.score_context(tokens, state)
         state.contexts_scored += 1
         language, passed = select_language(scores, current)
         scores = MappingProxyType(scores)
@@ -339,11 +383,13 @@ class Engine:
         language's candidate has passed.  With no such candidate the
         rescue fails unsearched.
 
-        The rescued language's table alone scores the corrected context
-        for the threshold test, giving the very float `score_context`
-        gives it; every pack scores it only once the rescue passes, for the
-        scores the detection carries.  The answer is the one that searching
-        every language and scoring every candidate would give.
+        The corrected context keeps the heads `score_context` has just
+        recorded for `tokens`, so only the corrected word is walked: in the
+        rescued language's table alone for the threshold test, and in every
+        pack's only once the rescue passes, for the scores the detection
+        carries.  Each is the very float `score_context` gives the
+        corrected context.  The answer is the one that searching every
+        language and scoring every candidate would give.
         """
         last = tokens[-1]
         lexicons = self._lexicons
@@ -375,13 +421,16 @@ class Engine:
         if rescue is None:
             return None
         i, word = rescue
-        language = self._taus[i][0]
-        corrected = [*tokens[:-1], word]
-        if self._adjusted((self._views[i],), (self._taus[i],), corrected)[language] < LOG_HALF:
+        language, tau = self._taus[i]
+        # score_context has just recorded every pack's head for `tokens`
+        heads = state.scored[3]
+        (lp,) = context_log_probs((self._views[i],), (word,), (1.0,))[1]
+        if (heads[i] + lp) / mass - tau < LOG_HALF:
             return None
         if any(lexicons[j].edit1_candidates(last, max_results=1) for j in deferred):
             return None
-        rescored = self.score_context(corrected)
+        lasts = context_log_probs(self._views, (word,), (1.0,))[1]
+        rescored = self._scores(heads, lasts, mass)
         state.contexts_scored += 1
         return Detection(
             language,

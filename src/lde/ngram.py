@@ -190,7 +190,7 @@ class TrigramModel:
         return total
 
 
-# what `sequence_log_probs` reads of one model: (table, side, symbol lookup)
+# what `context_log_probs` reads of one model: (table, side, symbol lookup)
 ScoringView = tuple[list[float], int, Callable[[str, int], int]]
 
 
@@ -203,27 +203,32 @@ def scoring_view(model: TrigramModel) -> ScoringView:
     return model.table, model.alphabet.size, model.alphabet._index.get
 
 
-def sequence_log_probs(
+def context_log_probs(
     views: Sequence[ScoringView], words: Sequence[str], weights: Sequence[float]
-) -> list[float]:
-    """`sequence_log_prob(words, r)` of every model, in one flat loop.
+) -> tuple[list[float], list[float]]:
+    """Every model's head and last for `words`, in one flat loop.
 
-    `weights[k]` is word k's recency weight, r^(n-1-k) for n words, as
-    `sequence_log_prob` computes it; the caller computes the weights once
-    per context length.  Each word is walked as `word_log_prob` walks it
-    and weighted as `sequence_log_prob` weights it, with the same float
-    operations in the same order, so every result is bit-for-bit the
-    method's; only the per-model and per-word calls are gone.  The weights
-    are not checked against `words` or against r's range.
+    `weights[k]` is word k's recency weight, r^(n-1-k) for n words; the
+    caller computes the weights once per context length.  A model's head
+    is the weighted sum of the log-probabilities of every word but the
+    last, and its last is the last word's log-probability, whose weight
+    r^0 is 1, so `sequence_log_prob(words, r)` is `head + last`.  Each
+    word is walked as `word_log_prob` walks it and weighted as
+    `sequence_log_prob` weights it, with the same float operations in the
+    same order, so that sum is bit-for-bit the method's; only the
+    per-model and per-word calls are gone.  The weights are not checked
+    against `words` or against r's range.
     """
     if not words or "" in words:
         raise ValueError("empty sequence or token")
     weighted = tuple(zip(weights, words))
-    totals = []
+    heads = []
+    lasts = []
     for table, v, get in views:
         oov = v - 1
         total = 0.0
         for weight, word in weighted:
+            head = total
             word_total = 0.0
             prev2 = prev1 = 0
             for ch in word:
@@ -232,8 +237,28 @@ def sequence_log_probs(
                 prev2 = prev1
                 prev1 = cur
             total += weight * word_total
-        totals.append(total)
-    return totals
+        heads.append(head)
+        lasts.append(word_total)
+    return heads, lasts
+
+
+def extended_log_probs(
+    views: Sequence[ScoringView], lasts: Sequence[float], word: str
+) -> list[float]:
+    """Every model's log-probability of `word`, given `lasts`, theirs of
+    `word[:-1]` (which must not be empty).
+
+    A word's log-probability is summed letter by letter from the left, so
+    adding the term of its last letter to that of the word without it
+    gives the very float a whole walk of `word` ends with.
+    """
+    before2 = word[-3] if len(word) > 2 else ""
+    before, ch = word[-2], word[-1]
+    return [
+        lp + table[(((get(before2, v - 1) if before2 else 0) * v + get(before, v - 1)) * v
+                    + get(ch, v - 1))]
+        for (table, v, get), lp in zip(views, lasts)
+    ]
 
 
 # per-pack v x v tables of a trigram cube's maxima over one slot:

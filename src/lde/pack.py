@@ -28,6 +28,9 @@ from .trie import Trie
 MAGIC = b"LDEPACK1"
 FORMAT_VERSION = 1
 ZLIB_LEVEL = 9
+# the most bytes a payload may inflate to, about 48 times the 691,633 of a
+# 50k-word pack: a small file holding a zlib bomb is refused, not inflated
+MAX_PAYLOAD = 32 * 1024 * 1024
 
 
 class PackError(Exception):
@@ -88,14 +91,6 @@ def quantize_table(table: list[float]) -> tuple[float, float, np.ndarray]:
     else:
         q = np.round((arr - lo) / scale).astype("<u2")
     return lo, scale, q
-
-
-def _dequantized(lo: float, scale: float, q: np.ndarray) -> np.ndarray:
-    return lo + q.astype(np.float64) * scale
-
-
-def dequantize_table(lo: float, scale: float, q: np.ndarray) -> list[float]:
-    return _dequantized(lo, scale, q).tolist()
 
 
 def _pack_str(text: str) -> bytes:
@@ -234,7 +229,8 @@ def read_pack(path) -> LanguagePack:
 
     Failure modes are distinct: wrong magic, unsupported version, checksum
     mismatch (or a corrupt compressed stream), truncation, and an invalid
-    field value each raise their own `PackError` subclass.  Loading never
+    field value (or a payload past `MAX_PAYLOAD` bytes) each raise their
+    own `PackError` subclass.  Loading never
     needs any other pack.
     """
     with open(path, "rb") as fh:
@@ -246,9 +242,11 @@ def read_pack(path) -> LanguagePack:
 
     decomp = zlib.decompressobj()
     try:
-        payload = decomp.decompress(data[len(MAGIC) :])
+        payload = decomp.decompress(data[len(MAGIC) :], MAX_PAYLOAD + 1)
     except zlib.error as exc:
         raise PackChecksumError(f"corrupt compressed stream: {exc}") from exc
+    if len(payload) > MAX_PAYLOAD:
+        raise MalformedPackError(f"payload inflates past {MAX_PAYLOAD} bytes")
     if not decomp.eof:
         raise TruncatedPackError("compressed stream is incomplete")
     trailer = decomp.unused_data
@@ -282,7 +280,7 @@ def read_pack(path) -> LanguagePack:
         raise MalformedPackError(
             f"non-finite value: alpha={alpha} lo={lo} scale={scale} tau={tau}"
         )
-    cube = _dequantized(lo, scale, q)
+    cube = lo + q.astype(np.float64) * scale
 
     lexicon = Trie(reader.words(weighted=True))
     lexicon.pair_index()  # derived at load, so no typo pays for it
@@ -335,5 +333,4 @@ __all__ = [
     "read_pack",
     "make_pack",
     "quantize_table",
-    "dequantize_table",
 ]

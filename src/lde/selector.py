@@ -160,11 +160,6 @@ def reduce_parameters(params: SelectorParams) -> Threshold:
     return Threshold(language=params.language, tau=tau)
 
 
-def adjusted_log_prob(emission: float, threshold: Threshold) -> float:
-    """On-device score: one subtraction per language."""
-    return emission - threshold.tau
-
-
 def select_language(
     adjusted: Mapping[str, float], fallback: str
 ) -> tuple[str, bool]:

@@ -24,7 +24,7 @@ from lde import (
     write_pack,
 )
 from lde.ngram import Alphabet
-from lde.pack import MAGIC, dequantize_table, quantize_table
+from lde.pack import MAGIC, MAX_PAYLOAD, quantize_table
 from lde.trie import Trie, trie_from_pairs
 
 from conftest import model_from_probs
@@ -51,14 +51,14 @@ class TestQuantization:
         rng = random.Random(5)
         table = [rng.uniform(-14.0, -0.01) for _ in range(3 * 3 * 3)]
         lo, scale, q = quantize_table(table)
-        restored = dequantize_table(lo, scale, q)
+        restored = lo + q.astype(np.float64) * scale  # MODEL_FORMAT.md's dequantization
         for original, back in zip(table, restored):
             assert abs(original - back) <= scale / 2 + 1e-15
 
     def test_constant_table(self):
         lo, scale, q = quantize_table([-3.0] * 8)
         assert scale == 0.0
-        assert dequantize_table(lo, scale, q) == [-3.0] * 8
+        assert (lo + q.astype(np.float64) * scale).tolist() == [-3.0] * 8
 
 
 class TestRoundTrip:
@@ -237,6 +237,24 @@ class TestErrorPaths:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_pack(tmp_path / "absent.ldep")
+
+    @pytest.mark.parametrize(
+        "size, error",
+        [(MAX_PAYLOAD + 1, MalformedPackError), (MAX_PAYLOAD, PackVersionError)],
+        ids=["past-the-cap", "at-the-cap"],
+    )
+    def test_inflate_cap(self, tmp_path, size, error):
+        # a zlib bomb: some 33 KB of file that inflate to `size` zero bytes,
+        # under a valid checksum; at the cap it inflates and is parsed (and
+        # its zero version refused), one byte more and it is not
+        payload = bytes(size)
+        path = tmp_path / "bomb.ldep"
+        path.write_bytes(
+            MAGIC + zlib.compress(payload, 9) + struct.pack("<I", zlib.crc32(payload))
+        )
+        assert path.stat().st_size < 64 * 1024
+        with pytest.raises(error):
+            read_pack(path)
 
 
 _EDITS = st.lists(

@@ -5,9 +5,10 @@ import pytest
 
 from lde import (
     LOG_HALF,
+    Engine,
+    EngineConfig,
     SelectorParams,
     Threshold,
-    adjusted_log_prob,
     build_alphabet,
     build_training_set,
     reduce_parameters,
@@ -19,7 +20,7 @@ from lde.selector import negative_quotas
 from lde.synth import LATIN, corpus_lines, make_language
 from lde.trie import word_frequencies
 
-from conftest import model_from_probs
+from conftest import model_from_probs, simple_pack
 from lde.ngram import Alphabet
 
 
@@ -167,11 +168,22 @@ class TestReduceParameters:
 
 
 class TestAdjustedLogProb:
+    """The on-device score is one subtraction per language: a one-word
+    context scores its emission minus the threshold."""
+
+    @staticmethod
+    def one_word_score(tau: float) -> tuple[float, float]:
+        model = model_from_probs(Alphabet((" ", "a", "b")), 0.2, {(" ", " ", "a"): 0.6})
+        engine = Engine([simple_pack(model, tau)], EngineConfig(languages=("xx",)))
+        return model.word_log_prob("ab"), engine.score_context(["ab"])["xx"]
+
     def test_zero_threshold(self):
-        assert adjusted_log_prob(-3.0, Threshold("x", 0.0)) == -3.0
+        emission, score = self.one_word_score(0.0)
+        assert score == emission
 
     def test_subtraction(self):
-        assert adjusted_log_prob(-3.0, Threshold("x", -1.0)) == -2.0
+        emission, score = self.one_word_score(-1.0)
+        assert score == emission + 1.0
 
     def test_decision_equivalence_grid(self):
         # (emission - tau >= log 1/2) must agree with (w*emission + b >= log 1/2)
@@ -179,13 +191,13 @@ class TestAdjustedLogProb:
             for b in (-20.0, -1.0, 0.0, 1.0, 25.0):
                 threshold = reduce_parameters(SelectorParams("x", w, b))
                 for emission in np.linspace(-60.0, 0.0, 121):
-                    reduced = adjusted_log_prob(emission, threshold) >= LOG_HALF
+                    reduced = emission - threshold.tau >= LOG_HALF
                     full = w * emission + b >= LOG_HALF
                     assert reduced == full
 
     def test_monotonic_in_emission(self):
         threshold = Threshold("x", -2.0)
-        values = [adjusted_log_prob(e, threshold) for e in np.linspace(-30, 0, 50)]
+        values = [e - threshold.tau for e in np.linspace(-30, 0, 50)]
         assert all(v2 > v1 for v1, v2 in zip(values, values[1:]))
 
 
