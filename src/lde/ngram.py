@@ -252,11 +252,11 @@ def extended_log_probs(
     adding the term of its last letter to that of the word without it
     gives the very float a whole walk of `word` ends with.
     """
-    before2 = word[-3] if len(word) > 2 else ""
-    before, ch = word[-2], word[-1]
+    # the last letter and the two before it; a word's first letter follows
+    # a space, which every alphabet holds at index 0
+    prev2, prev1, ch = (WHITESPACE + word)[-3:]
     return [
-        lp + table[(((get(before2, v - 1) if before2 else 0) * v + get(before, v - 1)) * v
-                    + get(ch, v - 1))]
+        lp + table[(get(prev2, v - 1) * v + get(prev1, v - 1)) * v + get(ch, v - 1)]
         for (table, v, get), lp in zip(views, lasts)
     ]
 

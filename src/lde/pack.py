@@ -230,8 +230,7 @@ def read_pack(path) -> LanguagePack:
     Failure modes are distinct: wrong magic, unsupported version, checksum
     mismatch (or a corrupt compressed stream), truncation, and an invalid
     field value (or a payload past `MAX_PAYLOAD` bytes) each raise their
-    own `PackError` subclass.  Loading never
-    needs any other pack.
+    own `PackError` subclass.  Loading never needs any other pack.
     """
     with open(path, "rb") as fh:
         data = fh.read()

@@ -789,3 +789,155 @@ class TestCacheContract:
                     expected.corrected,
                 ), full[:end]
         assert paths == set(DetectionPath)
+
+
+class _CountingTable(list):
+    """A trigram table that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return list.__getitem__(self, index)
+
+
+def stateless_scores(engine, text, detection, language):
+    """What `score_context` without a state gives the context `detect`
+    scored for `text` in session language `language`: the corrected
+    context after a rescue, and none when no word is left once trailing
+    proper nouns are dropped."""
+    words = strip_symbols(text)
+    while words and words[-1] in engine.proper_nouns:
+        words.pop()
+    if not words:
+        return {}
+    tokens = context_tokens(words)
+    corrected = detection.corrected
+    if detection.path is DetectionPath.PROPER_NOUN:
+        # a name's answer is that of the words before it, less any
+        # correction, which a fresh state in the same language shows
+        fresh = EngineState(cache=LruCache(1), current_language=language)
+        corrected = engine.detect(" ".join(words), fresh).corrected
+    if corrected:
+        tokens[-1] = corrected[0]
+    return engine.score_context(tokens)
+
+
+class TestKeystrokeReuse:
+    """A state keeps every pack's head and last of the context it scored
+    last; a keystroke that adds a letter to that context's last word adds
+    one term per pack, with the very floats a whole walk gives."""
+
+    def test_sessions_score_as_stateless_calls(self, bilingual, monkeypatch):
+        import lde.engine
+
+        nouns = Trie()
+        nouns.insert("quixario")
+        packs = [
+            make_pack(bilingual.models[code], bilingual.thresholds[code],
+                      bilingual.lexicons[code], nouns)
+            for code in ("aa", "bb")
+        ]
+        letters = sorted({ch for p in packs for ch in p.model.alphabet.symbols[1:]})
+        short = sorted(
+            w for lang in (bilingual.lang_a, bilingual.lang_b) for w in lang.vocabulary
+            if len(w) <= 5
+        )
+        # known short words, some with one letter replaced (a typo that a
+        # rescue may correct), words of 1-5 letters with one no alphabet
+        # holds, and a proper noun
+        typo = st.tuples(st.sampled_from(short), st.integers(0, 4), st.sampled_from(letters))
+        word = st.one_of(
+            st.sampled_from(short),
+            typo.map(lambda t: t[0][: t[1]] + t[2] + t[0][t[1] + 1 :]),
+            st.text(alphabet=[*letters, "ж"], min_size=1, max_size=5),
+            st.just("Quixario"),
+        )
+        extended = []
+        real_extend = lde.engine.extended_log_probs
+        monkeypatch.setattr(
+            lde.engine, "extended_log_probs",
+            lambda views, lasts, w: extended.append(w) or real_extend(views, lasts, w),
+        )
+        paths = set()
+
+        @settings(deadline=None, max_examples=150)
+        @given(words=st.lists(word, min_size=1, max_size=6), r=_RECENCY, data=st.data())
+        def check(words, r, data):
+            engine = Engine(packs, EngineConfig(languages=("aa", "bb"), r=r))
+            full = " ".join(words)
+            # after each keystroke, backspace 0-3 letters and type them again
+            backs = data.draw(st.lists(st.sampled_from((0, 0, 0, 1, 3)),
+                                       min_size=len(full), max_size=len(full)))
+            texts = []
+            for end, back in enumerate(backs, start=1):
+                texts.append(full[:end])
+                texts.extend(full[:k] for k in range(end - 1, max(end - back, 0) - 1, -1))
+                texts.extend(full[:k] for k in range(max(end - back, 0) + 1, end + 1))
+            state = engine.new_state()
+            for text in texts:
+                language = state.current_language
+                detection = engine.detect(text, state)
+                paths.add(detection.path)
+                expected = stateless_scores(engine, text, detection, language)
+                assert dict(detection.scores) == expected, text
+
+        check()
+        assert extended
+        assert DetectionPath.TYPO_RESCUE in paths
+
+    def test_a_state_moved_to_another_engine_gets_its_scores(self, bilingual):
+        first = bilingual.engine
+        second = Engine(bilingual.packs, EngineConfig(languages=first.languages, r=0.9))
+        w1, w2 = [w for w in bilingual.lang_a.vocabulary if len(w) > 3][:2]
+        state = first.new_state()
+        first.detect(f"{w1} {w2[:-1]}", state)
+        moved = second.detect(f"{w1} {w2}", state)
+        assert moved.path is not DetectionPath.CACHE_HIT
+        assert dict(moved.scores) == second.score_context([w1, w2])
+        # the engines' scores differ, so reusing the first's parts would show
+        assert second.score_context([w1, w2]) != first.score_context([w1, w2])
+
+    def test_full_walk_only_when_the_context_changes_shape(self, monkeypatch):
+        import lde.engine
+
+        base = two_language_engine()
+        tables = []
+        packs = []
+        for pack in base.packs.values():
+            model = pack.model
+            tables.append(_CountingTable(model.table))
+            counted = TrigramModel(model.language, model.alphabet, tables[-1], model.alpha)
+            packs.append(make_pack(counted, Threshold(pack.language, pack.tau), pack.lexicon))
+        engine = Engine(packs, base.config)
+
+        def reads():
+            return sum(table.reads for table in tables)
+
+        walked, extended = [], []
+        real_walk, real_extend = lde.engine.context_log_probs, lde.engine.extended_log_probs
+
+        def walk(views, words, weights):
+            walked.append(list(words))
+            return real_walk(views, words, weights)
+
+        def extend(views, lasts, word):
+            before = reads()
+            result = real_extend(views, lasts, word)
+            extended.append((word, reads() - before))
+            return result
+
+        monkeypatch.setattr(lde.engine, "context_log_probs", walk)
+        monkeypatch.setattr(lde.engine, "extended_log_probs", extend)
+        state = engine.new_state()
+        text = "abab mnmn abab"
+        for end in range(1, len(text) + 1):
+            engine.detect(text[:end], state)
+        # a new word changes the context's shape, and so does "aba", which
+        # is no longer short, so the context drops back to two words
+        assert walked == [["a"], ["abab", "m"], ["abab", "mnmn", "a"], ["mnmn", "aba"]]
+        # every other scored keystroke reads one table entry per pack
+        assert extended == [
+            (word, len(packs)) for word in ("ab", "aba", "abab", "mn", "mnm", "mnmn", "ab", "abab")
+        ]
+        assert state.contexts_scored == len(walked) + len(extended)

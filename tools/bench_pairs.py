@@ -9,8 +9,11 @@ the parent first on even pairs and the change first on odd ones.  Every
 run's metrics are appended to `--out` (created if missing) under the
 workload, with the seed, the order and both revisions, so one file can
 collect several workloads and the traced runs.  The summary per metric
-gives each side's median and quartiles over all recorded untraced pairs
-and how many pairs the change won.  After each pair one line shows its
+gives each side's median and quartiles over all recorded untraced pairs,
+how many pairs the change won, whether a claimed gain holds (the change
+won nine tenths of the pairs, by more than the parent's interquartile
+range in the median) and whether the change stays within the metric's
+`BENCHMARK.json` bound.  After each pair one line shows its
 seed, its order and both sides' `PROGRESS` metrics, so that a claim can be
 followed while the pairs run.  A run that exits non-zero or reports
 `correct: false` stops the script with its failures and stderr tail, and
@@ -54,9 +57,20 @@ def seeds_of(text: str) -> list[int]:
     return list(range(int(first), int(last or first) + 1))
 
 
-def summary(pairs: list[dict], lower_is_better: dict[str, bool]) -> dict:
+# a claimed gain must win this share of the pairs
+CLAIM_WINS = 0.9
+
+
+def summary(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric of `metrics` (BENCHMARK.json's `end_to_end` entries):
+    each side's median and quartiles, the pairs the change won, and two
+    checks.  `claim_holds`: the change won at least CLAIM_WINS of the
+    pairs, and its median is better than the parent's by more than the
+    parent's interquartile range.  `within_bound`: the change's median is
+    no worse than the parent's by more than the metric's relative bound."""
     out = {}
-    for name, lower in lower_is_better.items():
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
         sides = {side: [p[side][name] for p in pairs if name in p[side]]
                  for side in ("parent", "change")}
         if len(sides["parent"]) != len(pairs) or len(sides["change"]) != len(pairs):
@@ -67,6 +81,11 @@ def summary(pairs: list[dict], lower_is_better: dict[str, bool]) -> dict:
         for side, values in sides.items():
             q = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
             row[side] = {"median": statistics.median(values), "q1": q[0], "q3": q[2]}
+        parent, change = row["parent"]["median"], row["change"]["median"]
+        gain = parent - change if lower else change - parent
+        row["claim_holds"] = (wins >= CLAIM_WINS * len(pairs)
+                              and gain > row["parent"]["q3"] - row["parent"]["q1"])
+        row["within_bound"] = -gain <= metric["bound"] * abs(parent)
         out[name] = row
     return out
 
@@ -88,8 +107,7 @@ def main() -> int:
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {"workloads": {}}
     entry = doc["workloads"].setdefault(args.workload, {"pairs": [], "traced": []})
-    better = {m["name"]: m["better"] == "lower"
-              for m in json.loads((Path(args.change) / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = json.loads((Path(args.change) / "BENCHMARK.json").read_text())["end_to_end"]
     for i, seed in enumerate(seeds_of(args.seeds)):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "order": f"{order[0]} first", "seconds": args.seconds,
@@ -101,7 +119,7 @@ def main() -> int:
         print(json.dumps({k: pair[k] for k in ("seed", "order")}
                          | {s: {m: pair[s].get(m) for m in PROGRESS} for s in ("parent", "change")}),
               flush=True)
-        entry["summary"] = summary(entry["pairs"], better)
+        entry["summary"] = summary(entry["pairs"], metrics)
         out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
