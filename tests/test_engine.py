@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lde.engine
 from ldebench import oracle
 from lde import (
     Engine,
@@ -829,8 +830,6 @@ class TestKeystrokeReuse:
     one term per pack, with the very floats a whole walk gives."""
 
     def test_sessions_score_as_stateless_calls(self, bilingual, monkeypatch):
-        import lde.engine
-
         nouns = Trie()
         nouns.insert("quixario")
         packs = [
@@ -899,8 +898,6 @@ class TestKeystrokeReuse:
         assert second.score_context([w1, w2]) != first.score_context([w1, w2])
 
     def test_full_walk_only_when_the_context_changes_shape(self, monkeypatch):
-        import lde.engine
-
         base = two_language_engine()
         tables = []
         packs = []

@@ -13,8 +13,8 @@ gives each side's median and quartiles over all recorded untraced pairs,
 how many pairs the change won, whether a claimed gain holds (the change
 won nine tenths of the pairs, by more than the parent's interquartile
 range in the median) and whether the change stays within the metric's
-`BENCHMARK.json` bound.  After each pair one line shows its
-seed, its order and both sides' `PROGRESS` metrics, so that a claim can be
+`BENCHMARK.json` bound.  After each pair one line shows its seed, its
+order and both sides' `PROGRESS` metrics, so that a claim can be
 followed while the pairs run.  A run that exits non-zero or reports
 `correct: false` stops the script with its failures and stderr tail, and
 its pair is not recorded.
