@@ -31,7 +31,7 @@ from .selector import (
     reduce_parameters,
     train_selector,
 )
-from .trie import Trie, lexicon_from_lines, load_lexicon, load_word_list, save_lexicon
+from .trie import lexicon_from_lines, load_lexicon, load_word_list, save_lexicon
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -190,7 +190,7 @@ def cmd_pack(args) -> int:
         )
     threshold = reduce_parameters(params)
     lexicon = load_lexicon(args.lexicon)
-    pronouns = load_word_list(args.pronouns) if args.pronouns else Trie()
+    pronouns = load_word_list(args.pronouns) if args.pronouns else ()
     sizes = write_pack(model, threshold, lexicon, args.out, proper_nouns=pronouns)
     _print_json(
         {

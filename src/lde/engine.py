@@ -241,9 +241,7 @@ class Engine:
         self.packs: dict[str, LanguagePack] = {
             lang: by_lang[lang] for lang in config.languages
         }
-        self.proper_nouns = frozenset(
-            word for pack in self.packs.values() for word, _ in pack.proper_nouns.items()
-        )
+        self.proper_nouns = frozenset().union(*(p.proper_nouns for p in self.packs.values()))
         # what score_context reads per pack, in registration order
         self._views = tuple(scoring_view(pack.model) for pack in self.packs.values())
         self._taus = tuple((lang, pack.tau) for lang, pack in self.packs.items())

@@ -151,43 +151,26 @@ class TrigramModel:
                 f"table has {len(self.table)} entries, expected {v ** 3}"
             )
 
-    def log_prob(self, prev2: int, prev1: int, current: int) -> float:
-        v = self.alphabet.size
-        return self.table[(prev2 * v + prev1) * v + current]
-
     def word_log_prob(self, word: str) -> float:
         """Log-probability of one word, first character conditioned on space."""
         if not word:
             raise ValueError("empty token")
-        table = self.table
-        v = self.alphabet.size
-        get = self.alphabet._index.get
-        oov = v - 1
-        prev2 = 0
-        prev1 = 0
-        total = 0.0
-        for ch in word:
-            cur = get(ch, oov)
-            total += table[(prev2 * v + prev1) * v + cur]
-            prev2 = prev1
-            prev1 = cur
-        return total
+        return context_log_probs((scoring_view(self),), (word,), (1.0,))[1][0]
 
     def sequence_log_prob(self, words: Sequence[str], r: float = DEFAULT_RECENCY) -> float:
         """Recency-weighted sum of word log-probabilities.
 
-        Word k of n is weighted r^(n-k), so the trailing word always counts
-        in full and earlier words fade geometrically.
+        Word k of n is weighted r^(n-1-k), so the trailing word always
+        counts in full and earlier words fade geometrically.
         """
         if not words:
             raise ValueError("empty sequence")
         if not 0.0 < r <= 1.0:
             raise ValueError(f"recency factor must be in (0, 1], got {r}")
         n = len(words)
-        total = 0.0
-        for k, word in enumerate(words):
-            total += r ** (n - 1 - k) * self.word_log_prob(word)
-        return total
+        weights = [r ** (n - 1 - k) for k in range(n)]
+        (head,), (last,) = context_log_probs((scoring_view(self),), words, weights)
+        return head + last
 
 
 # what `context_log_probs` reads of one model: (table, side, symbol lookup)
@@ -212,12 +195,11 @@ def context_log_probs(
     caller computes the weights once per context length.  A model's head
     is the weighted sum of the log-probabilities of every word but the
     last, and its last is the last word's log-probability, whose weight
-    r^0 is 1, so `sequence_log_prob(words, r)` is `head + last`.  Each
-    word is walked as `word_log_prob` walks it and weighted as
-    `sequence_log_prob` weights it, with the same float operations in the
-    same order, so that sum is bit-for-bit the method's; only the
-    per-model and per-word calls are gone.  The weights are not checked
-    against `words` or against r's range.
+    r^0 is 1, so `head + last` is the recency-weighted sum.  This is the
+    one walk of words through a table: `TrigramModel.word_log_prob` and
+    `sequence_log_prob` call it for one model, and detection for every
+    pack at once, with no call per pack or per word.  The weights are not
+    checked against `words` or against r's range.
     """
     if not words or "" in words:
         raise ValueError("empty sequence or token")

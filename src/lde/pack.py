@@ -17,7 +17,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class LanguagePack:
     model: TrigramModel
     tau: float
     lexicon: Trie
-    proper_nouns: Trie
+    proper_nouns: frozenset[str]
     maxima: Maxima
 
 
@@ -171,10 +171,11 @@ def write_pack(
     tau: Threshold,
     lexicon: Trie,
     path,
-    proper_nouns: Trie | None = None,
+    proper_nouns: Iterable[str] = (),
 ) -> PackSizes:
     """Serialize one language to `path`; returns the measured sizes.
 
+    `proper_nouns` is any iterable of words; a repeat is written once.
     Reproducible bit-for-bit from identical inputs: the lexicon and
     proper-noun sections are written in sorted order and zlib settings
     are fixed.
@@ -203,7 +204,9 @@ def write_pack(
             raise PackError(f"lexicon weight {weight} of {word!r} is not a u32")
         parts.append(_pack_str(word) + struct.pack("<I", weight))
 
-    noun_records = sorted(word for word, _ in proper_nouns.items()) if proper_nouns else []
+    noun_records = sorted(set(proper_nouns))
+    if "" in noun_records:
+        raise PackError("empty proper noun")
     parts.append(struct.pack("<I", len(noun_records)))
     for word in noun_records:
         parts.append(_pack_str(word))
@@ -252,7 +255,7 @@ def read_pack(path) -> LanguagePack:
     if len(trailer) < 4:
         raise TruncatedPackError("missing checksum trailer")
     if len(trailer) > 4:
-        raise PackError(f"{len(trailer) - 4} bytes of trailing garbage")
+        raise MalformedPackError(f"{len(trailer) - 4} bytes after the checksum trailer")
     stored_crc = struct.unpack("<I", trailer)[0]
     actual_crc = zlib.crc32(payload)
     if actual_crc != stored_crc:
@@ -282,8 +285,7 @@ def read_pack(path) -> LanguagePack:
     cube = lo + q.astype(np.float64) * scale
 
     lexicon = Trie(reader.words(weighted=True))
-    lexicon.pair_index()  # derived at load, so no typo pays for it
-    proper_nouns = Trie(reader.words(weighted=False))
+    proper_nouns = frozenset(reader.words(weighted=False))
     if not reader.at_end():
         raise MalformedPackError("unparsed bytes at end of payload")
 
@@ -302,7 +304,7 @@ def make_pack(
     model: TrigramModel,
     tau: Threshold,
     lexicon: Trie | None = None,
-    proper_nouns: Trie | None = None,
+    proper_nouns: Iterable[str] = (),
 ) -> LanguagePack:
     """Assemble an in-memory pack without touching disk (no quantization)."""
     if model.language != tau.language:
@@ -314,7 +316,7 @@ def make_pack(
         model=model,
         tau=tau.tau,
         lexicon=lexicon if lexicon is not None else Trie(),
-        proper_nouns=proper_nouns if proper_nouns is not None else Trie(),
+        proper_nouns=frozenset(proper_nouns),
         maxima=trigram_maxima(model.table, model.alphabet.size),
     )
 

@@ -1,29 +1,30 @@
 """Vocabulary storage with edit-distance-1 search.
 
 Used for two things at detection time: exact membership checks (is this
-token a valid word / a listed proper noun) and fetching auto-correction
-candidates one edit away from a typo.  Words live in a dict from word to
-weight; candidates are generated from the query, in the manner of
-Norvig's spelling corrector, and looked up in that dict.
+token a lexicon word) and fetching auto-correction candidates one edit
+away from a typo.  Words live in a dict from word to weight; candidates
+are generated from the query, in the manner of Norvig's spelling
+corrector, and looked up in that dict.
 
-Only probes that could be words are generated.  The lexicon keeps an
-exact letter-pair index: for each letter, and for the word boundary,
-which letters follow it and which precede it in some word.  A query's
-pairs that no word holds mark where it must be edited: a substitution or
-deletion of one letter repairs the two pairs around it, an insertion the
-one pair it splits, so bad pairs more than one position apart leave no
-candidate; a letter no word holds spoils the two pairs around it, so
-two such letters leave none.  The letter a substitution or insertion
-puts between `p` and `q` comes from `follow[p] & lead[q]`, and a
-deletion is tried only if `q` may follow `p`.  Every pair of a lexicon
-word is in the index, so the pruning never drops a candidate.  The
-two-foreign-letter rule is checked before any probe is made, with one
-`str.translate` that deletes every lexicon letter from the query.
+Only probes that could be words are generated.  A lexicon is fixed once
+built, and derives when built an exact letter-pair index: for each
+letter, and for the word boundary, which letters follow it and which
+precede it in some word.  A query's pairs that no word holds mark where
+it must be edited: a substitution or deletion of one letter repairs the
+two pairs around it, an insertion the one pair it splits, so bad pairs
+more than one position apart leave no candidate; a letter no word holds
+spoils the two pairs around it, so two such letters leave none.  The
+letter a substitution or insertion puts between `p` and `q` comes from
+`follow[p] & lead[q]`, and a deletion is tried only if `q` may follow
+`p`.  Every pair of a lexicon word is in the index, so the pruning never
+drops a candidate.  The two-foreign-letter rule is checked before any
+probe is made, with one `str.translate` that deletes every lexicon
+letter from the query.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import count
 from typing import Iterable, Iterator, Mapping
 
@@ -39,30 +40,31 @@ _NONE: Letters = frozenset()
 
 
 class Trie:
-    """Word -> weight lexicon; weights accumulate on repeated insertion.
+    """Word -> weight lexicon, fixed once built.
 
-    `Trie(weights)` adopts a dict of non-empty words as it is.  The
-    letter-pair index, and with it the table that deletes every lexicon
-    letter, is derived from the words in bulk on first use and again
-    after any `insert`, so it is always exact.
+    `Trie(weights)` adopts a dict of non-empty words as it is, and derives
+    from the words in bulk the letter-pair index and the table that
+    deletes every lexicon letter.  No word can be added, so both stay
+    exact.
     """
 
     def __init__(self, weights: dict[str, int] | None = None):
         self._weights: dict[str, int] = {} if weights is None else weights
-        self._pairs: PairIndex | None = None
-        self._known: dict[int, None] = {}  # lexicon letter -> None; set with _pairs
-
-    def insert(self, word: str, weight: int = 1) -> None:
-        if not word:
-            raise ValueError("empty word")
-        self._weights[word] = self._weights.get(word, 0) + weight
-        self._pairs = None
+        # (follow, lead): for each letter, and for BOUNDARY, the letters that
+        # follow it (BOUNDARY too if it ends a word) and those that precede
+        # it in some word
+        self._pairs: PairIndex = letter_pairs(self._weights)
+        # lexicon letter -> None, for `str.translate`
+        self._known: dict[int, None] = str.maketrans("", "", "".join(self._pairs[0]))
 
     def __contains__(self, word: str) -> bool:
         return word in self._weights
 
     def __len__(self) -> int:
         return len(self._weights)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._weights)
 
     def items(self) -> Iterator[tuple[str, int]]:
         """All (word, weight) pairs in lexicographic order."""
@@ -71,23 +73,12 @@ class Trie:
     def ranked(self) -> list[tuple[str, int]]:
         """All (word, weight) pairs heaviest first, ties by word: the
         order of a lexicon file."""
-        return sorted(self._weights.items(), key=lambda item: (-item[1], item[0]))
-
-    def pair_index(self) -> PairIndex:
-        """(follow, lead): for each letter, and for `BOUNDARY`, the letters
-        that follow it (`BOUNDARY` too if it ends a word) and the letters
-        that precede it in some word; built once per set of words."""
-        if self._pairs is None:
-            self._pairs = letter_pairs(self._weights)
-            self._known = str.maketrans("", "", "".join(self._pairs[0]))
-        return self._pairs
+        return sorted(self._weights.items(), key=_heaviest_first)
 
     def foreign_letters(self, word: str) -> int:
         """How many letters of `word` no lexicon word holds, each repeat
         counted: with two or more, no word is one edit away, and with one,
         an edit-1 search only edits that letter."""
-        if self._pairs is None:
-            self.pair_index()
         return len(word.translate(self._known))
 
     def edit1_candidates(self, word: str, max_results: int = 10) -> list[tuple[str, int]]:
@@ -202,20 +193,28 @@ def letter_pairs(words: Iterable[str]) -> PairIndex:
     )
 
 
+def _heaviest_first(item: tuple[str, int]) -> tuple[int, str]:
+    return -item[1], item[0]
+
+
+def _add(weights: dict[str, int], word: str, weight: int) -> None:
+    if not word:
+        raise ValueError("empty word")
+    weights[word] = weights.get(word, 0) + weight
+
+
 def trie_from_pairs(pairs: Iterable[tuple[str, int]]) -> Trie:
-    trie = Trie()
+    """A lexicon of `pairs`, the weights of a repeated word summed."""
+    weights: dict[str, int] = {}
     for word, weight in pairs:
-        trie.insert(word, weight)
-    return trie
+        _add(weights, word, weight)
+    return Trie(weights)
 
 
 def word_frequencies(lines: Iterable[str]) -> list[tuple[str, int]]:
     """Corpus words with counts, most frequent first (ties by word)."""
-    counts = Trie()
-    for raw in lines:
-        for word in normalize_text(raw).split():
-            counts.insert(word)
-    return counts.ranked()
+    counts = Counter(word for raw in lines for word in normalize_text(raw).split())
+    return sorted(counts.items(), key=_heaviest_first)
 
 
 def lexicon_from_lines(lines: Iterable[str], top_k: int = 50000) -> Trie:
@@ -224,8 +223,8 @@ def lexicon_from_lines(lines: Iterable[str], top_k: int = 50000) -> Trie:
 
 
 def load_lexicon(path) -> Trie:
-    """Read a word<TAB>count lexicon file."""
-    trie = Trie()
+    """Read a word<TAB>count lexicon file; a repeated word's counts are summed."""
+    weights: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -233,10 +232,10 @@ def load_lexicon(path) -> Trie:
                 continue
             try:
                 word, count = line.split("\t")
-                trie.insert(word, int(count))
+                _add(weights, word, int(count))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: bad lexicon line {line!r}") from exc
-    return trie
+    return Trie(weights)
 
 
 def save_lexicon(trie: Trie, path) -> None:
@@ -246,11 +245,7 @@ def save_lexicon(trie: Trie, path) -> None:
             fh.write(f"{word}\t{weight}\n")
 
 
-def load_word_list(path) -> Trie:
+def load_word_list(path) -> frozenset[str]:
     """Read a one-word-per-line list (e.g. proper nouns), case-insensitively."""
-    trie = Trie()
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            for word in normalize_text(raw).split():
-                trie.insert(word)
-    return trie
+        return frozenset(word for raw in fh for word in normalize_text(raw).split())

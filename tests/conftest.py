@@ -84,15 +84,35 @@ def model_from_probs(
     return TrigramModel(language=language, alphabet=alphabet, table=table, alpha=0.5)
 
 
+def entry(model: TrigramModel, prev2: int, prev1: int, current: int) -> float:
+    """The table entry of symbol index `current` after (`prev2`, `prev1`)."""
+    v = model.alphabet.size
+    return model.table[(prev2 * v + prev1) * v + current]
+
+
+def walk_log_prob(model: TrigramModel, words, r: float = 1.0) -> float:
+    """Recency-weighted sum of `words`' log-probabilities, read entry by
+    entry: word k of n weighs r^(n-1-k), and its first letter follows a
+    space.  Independent of the library's scoring loop, with its float
+    operations in its order, so that the scores it gives are pinned bit
+    for bit."""
+    n = len(words)
+    total = 0.0
+    for k, word in enumerate(words):
+        prev2 = prev1 = 0
+        word_total = 0.0
+        for ch in word:
+            cur = model.alphabet.index_of(ch)
+            word_total += entry(model, prev2, prev1, cur)
+            prev2, prev1 = prev1, cur
+        total += r ** (n - 1 - k) * word_total
+    return total
+
+
 def simple_pack(model: TrigramModel, tau: float, lexicon_words=(), pronouns=()) -> LanguagePack:
-    lexicon = Trie()
-    for word in lexicon_words:
-        lexicon.insert(word)
-    nouns = Trie()
-    for word in pronouns:
-        nouns.insert(word)
+    lexicon = trie_from_pairs((word, 1) for word in lexicon_words)
     return make_pack(
-        model, Threshold(language=model.language, tau=tau), lexicon, nouns
+        model, Threshold(language=model.language, tau=tau), lexicon, pronouns
     )
 
 

@@ -41,7 +41,7 @@ from lde.pack import MAGIC
 from lde.synth import LATIN, corpus_lines, make_language
 from lde.trie import Trie, trie_from_pairs
 
-from conftest import model_from_probs, simple_pack
+from conftest import entry, model_from_probs, simple_pack
 
 LOG_HALF = math.log(0.5)
 
@@ -131,7 +131,7 @@ def test_c03_brute_force_trigram_oracle():
             total = sum(counts.values())
             for i0 in range(v):
                 expected = math.log((counts[i0] + alpha) / (total + alpha * v))
-                if model.log_prob(i2, i1, i0) != expected:
+                if entry(model, i2, i1, i0) != expected:
                     mismatches += 1
     verdict(
         "C3",
@@ -165,9 +165,7 @@ def test_c04_edit_distance_oracle():
             "".join(rng.choices(letters, k=rng.randint(1, 9)))
             for _ in range(rng.randint(50, 1000))
         }
-        trie = Trie()
-        for word in words:
-            trie.insert(word, rng.randint(1, 99))
+        trie = trie_from_pairs((word, rng.randint(1, 99)) for word in words)
         for _ in range(3):
             query = "".join(rng.choices(letters, k=rng.randint(1, 10)))
             got = {w for w, _ in trie.edit1_candidates(query, max_results=10_000)}

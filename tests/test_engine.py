@@ -23,7 +23,7 @@ from lde.selector import LOG_HALF, select_language
 from lde.synth import LATIN, intra_sentences
 from lde.trie import Trie
 
-from conftest import levenshtein, model_from_probs, one_edit, simple_pack
+from conftest import levenshtein, model_from_probs, one_edit, simple_pack, walk_log_prob
 
 
 # what a keyboard sends: U+0020-U+2FFF, emoji with skin tones and joiners,
@@ -697,9 +697,9 @@ class TestNormalizedScoring:
         engine = two_language_engine(r=0.5)
         pack = engine.packs["xx"]
         tokens = ["abab", "aba"]
-        raw = pack.model.sequence_log_prob(tokens, 0.5)
+        raw = walk_log_prob(pack.model, tokens, 0.5)
         scores = engine.score_context(tokens)
-        assert scores["xx"] == pytest.approx(raw / 1.5 - pack.tau, abs=1e-12)
+        assert scores["xx"] == raw / 1.5 - pack.tau
 
     def test_repeated_word_context_scores_like_single(self):
         engine = two_language_engine()
@@ -720,11 +720,11 @@ def assert_scores_exact(engine, tokens, r):
     scores = engine.score_context(tokens)
     mass = sum(r ** k for k in range(len(tokens)))
     for lang, pack in engine.packs.items():
-        assert scores[lang] == pack.model.sequence_log_prob(tokens, r) / mass - pack.tau
+        assert scores[lang] == walk_log_prob(pack.model, tokens, r) / mass - pack.tau
 
 
 class TestExactScores:
-    """The flat scoring loop gives the model methods' scores bit-for-bit."""
+    """The flat scoring loop gives a test-local table walk's scores bit-for-bit."""
 
     @settings(deadline=None)
     @given(tokens=_TOKENS, r=_RECENCY)
@@ -745,8 +745,7 @@ class TestCacheContract:
     """A detect answers as a fresh state in the same language would."""
 
     def test_replayed_sessions_match_fresh_states(self, bilingual):
-        nouns = Trie()
-        nouns.insert("quixario")
+        nouns = ("quixario",)
         engine = Engine(
             [
                 make_pack(bilingual.models[code], bilingual.thresholds[code],
@@ -830,8 +829,7 @@ class TestKeystrokeReuse:
     one term per pack, with the very floats a whole walk gives."""
 
     def test_sessions_score_as_stateless_calls(self, bilingual, monkeypatch):
-        nouns = Trie()
-        nouns.insert("quixario")
+        nouns = ("quixario",)
         packs = [
             make_pack(bilingual.models[code], bilingual.thresholds[code],
                       bilingual.lexicons[code], nouns)

@@ -17,7 +17,7 @@ from lde.ngram import (
 from lde.pack import write_pack
 from lde.trie import Trie
 
-from conftest import model_from_probs, one_edit
+from conftest import entry, model_from_probs, one_edit, walk_log_prob
 
 
 class TestNormalizeText:
@@ -117,22 +117,22 @@ class TestTrainTrigram:
         a, b = toy_alphabet.index_of("a"), toy_alphabet.index_of("b")
         # counting sequence is " ab ab": trigram ( ,a,b) twice, (a,b, ) once,
         # (b, ,a) once; space-bigram ( ->a) twice at the (space,space) row
-        assert math.exp(model.log_prob(0, 0, a)) == pytest.approx(3 / 6, abs=1e-12)
-        assert math.exp(model.log_prob(0, a, b)) == pytest.approx(3 / 6, abs=1e-12)
-        assert math.exp(model.log_prob(a, b, 0)) == pytest.approx(2 / 5, abs=1e-12)
-        assert math.exp(model.log_prob(b, 0, a)) == pytest.approx(2 / 5, abs=1e-12)
+        assert math.exp(entry(model, 0, 0, a)) == pytest.approx(3 / 6, abs=1e-12)
+        assert math.exp(entry(model, 0, a, b)) == pytest.approx(3 / 6, abs=1e-12)
+        assert math.exp(entry(model, a, b, 0)) == pytest.approx(2 / 5, abs=1e-12)
+        assert math.exp(entry(model, b, 0, a)) == pytest.approx(2 / 5, abs=1e-12)
 
     def test_unseen_trigram_smoothing_floor(self, toy_alphabet):
         model = train_trigram(["ab ab"], toy_alphabet, 1.0)
         v = toy_alphabet.size
         # unseen context row: every conditional is 1/V
-        assert model.log_prob(2, 2, 1) == pytest.approx(math.log(1 / v), abs=1e-12)
+        assert entry(model, 2, 2, 1) == pytest.approx(math.log(1 / v), abs=1e-12)
 
     def test_dominant_count_is_row_max(self, toy_alphabet):
         model = train_trigram(["aaaa"], toy_alphabet, 0.5)
         a = toy_alphabet.index_of("a")
-        row = [model.log_prob(a, a, z) for z in range(toy_alphabet.size)]
-        assert model.log_prob(a, a, a) == max(row)
+        row = [entry(model, a, a, z) for z in range(toy_alphabet.size)]
+        assert entry(model, a, a, a) == max(row)
 
     def test_rows_sum_to_one(self, toy_alphabet):
         model = train_trigram(["ab ab", "aba b", "bb aa"], toy_alphabet, 0.5)
@@ -166,7 +166,7 @@ class TestTrainTrigram:
         oov = toy_alphabet.oov
         a = toy_alphabet.index_of("a")
         # (space,a,oov) seen twice
-        assert math.exp(model.log_prob(0, a, oov)) == pytest.approx(3 / 6, abs=1e-12)
+        assert math.exp(entry(model, 0, a, oov)) == pytest.approx(3 / 6, abs=1e-12)
 
     def test_determinism_bit_identical(self, toy_alphabet):
         lines = ["ab ab", "ba baa", "ab bb"]
@@ -195,14 +195,14 @@ class TestWordLogProb:
     def test_trained_product_oracle(self, toy_alphabet):
         model = train_trigram(["ab ab"], toy_alphabet, 1.0)
         a, b = toy_alphabet.index_of("a"), toy_alphabet.index_of("b")
-        expected = model.log_prob(0, 0, a) + model.log_prob(0, a, b)
+        expected = entry(model, 0, 0, a) + entry(model, 0, a, b)
         assert model.word_log_prob("ab") == pytest.approx(expected, abs=1e-12)
 
     def test_oov_char_uses_oov_index(self, toy_alphabet):
         model = train_trigram(["ab ab"], toy_alphabet, 1.0)
         oov = toy_alphabet.oov
         a = toy_alphabet.index_of("a")
-        expected = model.log_prob(0, 0, a) + model.log_prob(0, a, oov)
+        expected = entry(model, 0, 0, a) + entry(model, 0, a, oov)
         assert model.word_log_prob("az") == pytest.approx(expected, abs=1e-12)
 
     def test_empty_token(self, toy_alphabet):
@@ -251,6 +251,27 @@ class TestSequenceLogProb:
         model = model_from_probs(toy_alphabet, 1 / 3)
         with pytest.raises(ValueError):
             model.sequence_log_prob(["ab"], r)
+
+
+_RECENCY = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    words=st.lists(st.text(alphabet="abcé", min_size=1, max_size=8), min_size=1, max_size=6),
+    r=_RECENCY,
+)
+def test_methods_equal_the_table_walk(seed, words, r):
+    """Both methods give the test-local walk's floats bit for bit, so the
+    thresholds trained on `word_log_prob` stay what they were."""
+    rng = random.Random(seed)
+    alphabet = Alphabet((" ", "a", "b", "c"))  # é is out of the alphabet
+    table = [math.log(rng.uniform(1e-3, 1.0)) for _ in range(alphabet.size**3)]
+    model = TrigramModel(language="xx", alphabet=alphabet, table=table, alpha=0.5)
+    assert model.sequence_log_prob(words, r) == walk_log_prob(model, words, r)
+    for word in words:
+        assert model.word_log_prob(word) == walk_log_prob(model, [word])
 
 
 class TestTrailingWordDominance:

@@ -40,8 +40,7 @@ def sample_inputs():
         language="xx",
     )
     lexicon = trie_from_pairs([("abc", 12), ("def", 5), ("cafe", 2)])
-    nouns = Trie()
-    nouns.insert("hagrid")
+    nouns = frozenset({"hagrid"})
     tau = Threshold(language="xx", tau=-7.25)
     return model, tau, lexicon, nouns
 
@@ -73,7 +72,7 @@ class TestRoundTrip:
         assert pack.tau == tau.tau
         assert pack.model.alpha == model.alpha
         assert dict(pack.lexicon.items()) == dict(lexicon.items())
-        assert [w for w, _ in pack.proper_nouns.items()] == ["hagrid"]
+        assert pack.proper_nouns == {"hagrid"}
 
         lo, scale, _ = quantize_table(model.table)
         for original, back in zip(model.table, pack.model.table):
@@ -94,6 +93,28 @@ class TestRoundTrip:
         write_pack(model, tau, lexicon, path)
         assert len(read_pack(path).proper_nouns) == 0
 
+    def test_noun_input_kinds_give_identical_packs(self, sample_inputs, tmp_path):
+        model, tau, lexicon, _ = sample_inputs
+        nouns = frozenset({"hagrid", "dumbledore", "\u00e9mile"})
+        inputs = {
+            "list": ["\u00e9mile", "hagrid", "dumbledore", "hagrid"],
+            "frozenset": nouns,
+            "trie": trie_from_pairs((noun, 1) for noun in nouns),
+        }
+        written = {}
+        for kind, given_nouns in inputs.items():
+            path = tmp_path / f"{kind}.ldep"
+            write_pack(model, tau, lexicon, path, proper_nouns=given_nouns)
+            written[kind] = path.read_bytes()
+            assert read_pack(path).proper_nouns == nouns
+        assert written["list"] == written["frozenset"] == written["trie"]
+        assert make_pack(model, tau, lexicon, inputs["list"]).proper_nouns == nouns
+
+    def test_empty_noun_rejected(self, sample_inputs, tmp_path):
+        model, tau, lexicon, _ = sample_inputs
+        with pytest.raises(PackError, match="empty proper noun"):
+            write_pack(model, tau, lexicon, tmp_path / "x.ldep", proper_nouns=["hagrid", ""])
+
     def test_language_mismatch_rejected(self, sample_inputs, tmp_path):
         model, _, lexicon, _ = sample_inputs
         with pytest.raises(PackError, match="mismatch"):
@@ -107,7 +128,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("weight", [-1, 2**32])
     def test_out_of_range_weight_rejected(self, sample_inputs, tmp_path, weight):
         model, tau, lexicon, _ = sample_inputs
-        lexicon.insert("dab", weight)
+        lexicon = trie_from_pairs([*lexicon.items(), ("dab", weight)])
         with pytest.raises(PackError, match="'dab'"):
             write_pack(model, tau, lexicon, tmp_path / "x.ldep")
 
@@ -148,6 +169,12 @@ class TestErrorPaths:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(TruncatedPackError):
+            read_pack(path)
+
+    def test_bytes_after_trailer(self, sample_inputs, tmp_path):
+        path = self.write_sample(sample_inputs, tmp_path)
+        path.write_bytes(path.read_bytes() + b"xyz")
+        with pytest.raises(MalformedPackError, match="3 bytes after the checksum trailer"):
             read_pack(path)
 
     def rewrite_payload(self, path, old: bytes, new: bytes):

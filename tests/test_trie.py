@@ -25,39 +25,34 @@ from conftest import levenshtein
 
 class TestInsertContains:
     def test_insert_then_contains(self):
-        trie = Trie()
-        trie.insert("kal")
+        trie = trie_from_pairs([("kal", 1)])
         assert "kal" in trie
 
     def test_prefix_is_not_terminal(self):
-        trie = Trie()
-        trie.insert("kal")
+        trie = Trie({"kal": 1})
         assert "ka" not in trie
 
     def test_weight_accumulates(self):
-        trie = Trie()
-        trie.insert("kal", 1)
-        trie.insert("kal", 1)
+        trie = trie_from_pairs([("kal", 1), ("kal", 1)])
         assert dict(trie.items())["kal"] == 2
         assert len(trie) == 1
 
     def test_empty_trie(self):
         assert "anything" not in Trie()
+        assert list(Trie()) == []
 
     def test_exact_membership(self):
-        trie = Trie()
-        trie.insert("paris")
+        trie = Trie({"paris": 1})
         assert "paris" in trie
         assert "pari" not in trie
         assert "parisx" not in trie
 
     def test_insert_empty_word(self):
         with pytest.raises(ValueError, match="empty word"):
-            Trie().insert("")
+            trie_from_pairs([("kal", 1), ("", 1)])
 
     def test_dunder_contains(self):
-        trie = Trie()
-        trie.insert("kya")
+        trie = Trie({"kya": 1})
         assert "kya" in trie
         assert "kal" not in trie
 
@@ -65,11 +60,10 @@ class TestInsertContains:
         rng = random.Random(9)
         pool = "añüжç日ab"
         words = {"".join(rng.choices(pool, k=rng.randint(1, 8))) for _ in range(300)}
-        trie = Trie()
-        for word in words:
-            trie.insert(word)
+        trie = trie_from_pairs((word, 1) for word in words)
         assert all(w in trie for w in words)
         assert len(trie) == len(words)
+        assert set(trie) == words
         assert [w for w, _ in trie.items()] == sorted(words)
 
 
@@ -111,9 +105,7 @@ class TestEdit1Candidates:
                 "".join(rng.choices(letters, k=rng.randint(1, 8)))
                 for _ in range(rng.randint(20, 200))
             }
-            trie = Trie()
-            for word in words:
-                trie.insert(word, rng.randint(1, 50))
+            trie = trie_from_pairs((word, rng.randint(1, 50)) for word in words)
             weights = dict(trie.items())
             for foreign in (0, 0, 1, 1, 2, 3):
                 # a lexicon word or a random string, with `foreign` letters
@@ -168,7 +160,7 @@ class TestEdit1Candidates:
     def test_search_is_pruned(self, monkeypatch):
         # pairs: ^a ab b$ ^b bc c$ ^c ca a$ (^ and $ are the word boundary)
         trie = trie_from_pairs([("ab", 1), ("bc", 1), ("ca", 1)])
-        assert trie.pair_index() == (
+        assert trie._pairs == (
             {BOUNDARY: {"a", "b", "c"}, "a": {"b", BOUNDARY}, "b": {"c", BOUNDARY},
              "c": {"a", BOUNDARY}},
             {"a": {"c"}, "b": {"a"}, "c": {"b"}, BOUNDARY: {"a", "b", "c"}},
@@ -206,26 +198,18 @@ class TestEdit1Candidates:
             ["ab"],
         ]
 
-    def test_insert_after_search_extends_the_index(self):
-        trie = trie_from_pairs([("ab", 1)])
-        assert trie.edit1_candidates("cb") == [("ab", 1)]
-        assert trie.edit1_candidates("cd") == []
-        trie.insert("cde", 4)  # new letters and pairs ^c cd de e$
-        assert trie.edit1_candidates("cd") == [("cde", 4)]
-        assert trie.edit1_candidates("cb") == [("ab", 1)]
-
     def test_letter_check_matches_brute_force(self, monkeypatch):
         """Queries holding 0, 1 or 2 foreign letters, a repeated one and
-        non-ASCII ones, before and after an insert adds a letter."""
+        non-ASCII ones, in a lexicon and in one built with a word that
+        adds a letter."""
         lexicon = {"ab": 3, "b\u00e9a": 2, "\u00e9\u00e9": 5, "aab": 1}
-        trie = Trie(dict(lexicon))
         probed = []
         probes = lde.trie.pair_probes
         monkeypatch.setattr(
             lde.trie, "pair_probes", lambda word, *index: probed.append(word) or probes(word, *index)
         )
 
-        def check(query: str, foreign: str):
+        def check(trie: Trie, query: str, foreign: str):
             before = len(probed)
             expected = sorted(
                 ((w, wt) for w, wt in lexicon.items() if levenshtein(query, w) <= 1),
@@ -243,16 +227,17 @@ class TestEdit1Candidates:
             "xax", "a\u00df\U0001d51e", "x\u00df",  # two distinct
             "xx", "axxb", "\u00df\u00df",  # one letter twice
         )
-        hits = [q for q in queries if check(q, "x\u00df\U0001d51e")]
+        trie = Trie(dict(lexicon))
+        hits = [q for q in queries if check(trie, q, "x\u00df\U0001d51e")]
         assert hits == list(queries[:7])
-        # the letter table is derived with the pair index, so it follows an
-        # insert that adds a letter
-        trie.insert("axb", 4)
+        # the letter table is derived with the pair index, so a lexicon
+        # built with a word holding x knows that letter
         lexicon["axb"] = 4
-        assert check("axxb", "\u00df\U0001d51e") == [("axb", 4)]
-        assert check("\u00dfxb", "\u00df\U0001d51e") == [("axb", 4)]
+        trie = Trie(dict(lexicon))
+        assert check(trie, "axxb", "\u00df\U0001d51e") == [("axb", 4)]
+        assert check(trie, "\u00dfxb", "\u00df\U0001d51e") == [("axb", 4)]
         for query in queries:
-            check(query, "\u00df\U0001d51e")
+            check(trie, query, "\u00df\U0001d51e")
 
     def test_pair_table_does_not_scale_with_code_points(self):
         words = ["\U0001d51e" * 3 + "b", "b\U0001d51e"]  # U+1D51E, past 1.1M
@@ -304,7 +289,7 @@ def test_search_matches_brute_force(lexicon, base, letter, where, substitute, in
         trie = trie_from_pairs(lexicon.items())
     else:
         trie = Trie(dict(lexicon))
-    assert trie.pair_index() == reference_pairs(lexicon)
+    assert trie._pairs == reference_pairs(lexicon)
     expected = sorted(
         ((w, wt) for w, wt in lexicon.items() if levenshtein(query, w) <= 1),
         key=lambda item: (-item[1], item[0]),
@@ -335,9 +320,15 @@ class TestLexiconFiles:
     def test_word_list_case_insensitive(self, tmp_path):
         path = tmp_path / "nouns.txt"
         path.write_text("Paris\nDELHI\n", encoding="utf-8")
-        trie = load_word_list(path)
-        assert "paris" in trie
-        assert "delhi" in trie
+        assert load_word_list(path) == frozenset({"paris", "delhi"})
+
+    def test_load_lexicon_sums_repeats_and_refuses_empty_word(self, tmp_path):
+        path = tmp_path / "x.lex"
+        path.write_text("kal\t2\nkya\t1\nkal\t3\n", encoding="utf-8")
+        assert dict(load_lexicon(path).items()) == {"kal": 5, "kya": 1}
+        path.write_text("kal\t2\n\t3\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="x.lex:2"):
+            load_lexicon(path)
 
     def test_word_frequencies_order(self):
         freqs = word_frequencies(["b a", "a c a"])
