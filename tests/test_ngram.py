@@ -253,14 +253,11 @@ class TestSequenceLogProb:
             model.sequence_log_prob(["ab"], r)
 
 
-_RECENCY = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
-
-
 @settings(deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     words=st.lists(st.text(alphabet="abcé", min_size=1, max_size=8), min_size=1, max_size=6),
-    r=_RECENCY,
+    r=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
 )
 def test_methods_equal_the_table_walk(seed, words, r):
     """Both methods give the test-local walk's floats bit for bit, so the
