@@ -31,7 +31,7 @@ from .selector import (
     reduce_parameters,
     train_selector,
 )
-from .trie import lexicon_from_lines, load_lexicon, load_word_list, save_lexicon
+from .trie import lexicon_from_lines, load_lexicon, load_word_list, ranked, save_lexicon
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -147,7 +147,7 @@ def cmd_train_selector(args) -> int:
         lex_path = Path(args.lexicons) / f"{lang}.lex"
         if not lex_path.exists():
             raise ValueError(f"missing lexicon {lex_path}")
-        lexicons[lang] = [word for word, _ in load_lexicon(lex_path).ranked()]
+        lexicons[lang] = [word for word, _ in ranked(load_lexicon(lex_path))]
 
     rows = build_training_set(
         lexicons, models, args.lang, args.positives, args.negatives

@@ -346,8 +346,6 @@ def train_trigram(
     """
     if smoothing_alpha <= 0:
         raise ValueError("smoothing_alpha must be positive")
-    if alphabet.symbols[0] != WHITESPACE:
-        raise ValueError("alphabet missing whitespace")
 
     v = alphabet.size
     counts = [0] * (v * v * v)

@@ -17,7 +17,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -100,94 +100,48 @@ def _pack_str(text: str) -> bytes:
     return struct.pack("<H", len(data)) + data
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    def take(self, count: int) -> bytes:
-        end = self._pos + count
-        if end > len(self._data):
-            raise TruncatedPackError(
-                f"payload ends at {len(self._data)}, needed {end}"
-            )
-        chunk = self._data[self._pos : end]
-        self._pos = end
-        return chunk
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
-
-    def string(self) -> str:
-        try:
-            return self.take(self.u16()).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedPackError(f"string is not UTF-8: {exc}") from exc
-
-    def words(self, weighted: bool) -> dict[str, int]:
-        """A u32 count, then that many records: a string, followed by its
-        u32 weight when `weighted` (every word weighs 1 otherwise).
-
-        One flat loop with no call per record, since the records are most
-        of a pack's load time.
-        """
-        data, pos = self._data, self._pos
-        unpack_from = struct.unpack_from
-        words: dict[str, int] = {}
-        try:
-            (count,) = unpack_from("<I", data, pos)
-            pos += 4
-            for _ in range(count):
-                (size,) = unpack_from("<H", data, pos)
-                start = pos + 2
-                pos = start + size
-                weight = 1
-                if weighted:
-                    (weight,) = unpack_from("<I", data, pos)
-                    pos += 4
-                words[data[start : start + size].decode("utf-8")] = weight
-        except struct.error as exc:
-            raise TruncatedPackError(f"payload ends at {len(data)} inside a record") from exc
-        except UnicodeDecodeError as exc:
-            raise MalformedPackError(f"string is not UTF-8: {exc}") from exc
-        if pos > len(data):
-            raise TruncatedPackError(f"payload ends at {len(data)}, needed {pos}")
-        if "" in words:
-            raise MalformedPackError("empty word")
-        if len(words) != count:
-            raise MalformedPackError(f"{count - len(words)} repeated words")
-        self._pos = pos
-        return words
-
-    def at_end(self) -> bool:
-        return self._pos == len(self._data)
-
-
-def write_pack(
-    model: TrigramModel,
-    tau: Threshold,
-    lexicon: Trie,
-    path,
-    proper_nouns: Iterable[str] = (),
-) -> PackSizes:
-    """Serialize one language to `path`; returns the measured sizes.
-
-    `proper_nouns` is any iterable of words; a repeat is written once.
-    Reproducible bit-for-bit from identical inputs: the lexicon and
-    proper-noun sections are written in sorted order and zlib settings
-    are fixed.
-    """
-    if not model.language:
-        raise PackError("model has no language code")
+def _check_language(model: TrigramModel, tau: Threshold) -> None:
     if model.language != tau.language:
         raise PackError(
             f"language mismatch: model {model.language!r} vs threshold {tau.language!r}"
         )
 
-    lo, scale, q = quantize_table(model.table)
+
+def _check_finite(
+    error: type[PackError], alpha: float, lo: float, scale: float, tau: float
+) -> None:
+    """The one finite-value rule of a pack, which the writer and the reader
+    both apply: `alpha`, `tau` and the table's values, which run from `lo`
+    to `lo + 65535 * scale`."""
+    if not all(map(math.isfinite, (alpha, lo, scale, tau, lo + 65535 * scale))):
+        raise error(f"non-finite value: alpha={alpha} lo={lo} scale={scale} tau={tau}")
+
+
+def write_pack(
+    model: TrigramModel,
+    tau: Threshold,
+    lexicon: Mapping[str, int] | Trie,
+    path,
+    proper_nouns: Iterable[str] = (),
+) -> PackSizes:
+    """Serialize one language to `path`; returns the measured sizes.
+
+    `lexicon` is any word -> weight mapping, read through `.items()`;
+    `proper_nouns` is any iterable of words, a repeat written once.  What
+    `read_pack` would refuse is refused here with `PackError`, before
+    `path` is opened.  Reproducible bit-for-bit from identical inputs: the
+    lexicon and proper-noun sections are written in sorted order and zlib
+    settings are fixed.
+    """
+    if not model.language:
+        raise PackError("model has no language code")
+    _check_language(model, tau)
+    # checked before quantizing, which would cast a NaN to an integer
+    table = np.asarray(model.table, dtype=np.float64)
+    lo, hi = float(table.min()), float(table.max())
+    _check_finite(PackError, model.alpha, lo, (hi - lo) / 65535.0, tau.tau)
+
+    lo, scale, q = quantize_table(table)
     table_bytes = q.tobytes()
 
     parts = [struct.pack("<H", FORMAT_VERSION)]
@@ -227,6 +181,37 @@ def write_pack(
     )
 
 
+def _words(data: bytes, pos: int, weighted: bool) -> tuple[dict[str, int], int]:
+    """The word section at `pos` and the offset past it: a u32 count, then
+    that many records, a string followed by its u32 weight when `weighted`
+    (every word weighs 1 otherwise).
+
+    One flat loop with no call per record, since the records are most of a
+    pack's load time.  `read_pack` turns the `struct.error` of a record cut
+    short and the `UnicodeDecodeError` of a word into `PackError`s.
+    """
+    unpack_from = struct.unpack_from
+    words: dict[str, int] = {}
+    (count,) = unpack_from("<I", data, pos)
+    pos += 4
+    for _ in range(count):
+        (size,) = unpack_from("<H", data, pos)
+        start = pos + 2
+        pos = start + size
+        weight = 1
+        if weighted:
+            (weight,) = unpack_from("<I", data, pos)
+            pos += 4
+        words[data[start : start + size].decode("utf-8")] = weight
+    if pos > len(data):
+        raise TruncatedPackError(f"payload ends at {len(data)}, needed {pos}")
+    if "" in words:
+        raise MalformedPackError("empty word")
+    if len(words) != count:
+        raise MalformedPackError(f"{count - len(words)} repeated words")
+    return words, pos
+
+
 def read_pack(path) -> LanguagePack:
     """Load and validate one language pack.
 
@@ -263,39 +248,50 @@ def read_pack(path) -> LanguagePack:
             f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
         )
 
-    reader = _Reader(payload)
-    version = reader.u16()
-    if version != FORMAT_VERSION:
-        raise PackVersionError(f"unsupported pack version {version}")
-    language = reader.string()
-    symbols = reader.string()
+    # each field is read at a running offset `pos`, in MODEL_FORMAT.md's order
+    unpack_from = struct.unpack_from
     try:
-        alphabet = Alphabet(tuple(symbols))
-    except ValueError as exc:
-        raise MalformedPackError(f"bad alphabet {symbols!r}: {exc}") from exc
-    alpha, lo, scale = struct.unpack("<ddd", reader.take(24))
-    v = alphabet.size
-    q = np.frombuffer(reader.take(v * v * v * 2), dtype="<u2")
-    tau = reader.f64()
-    # the table's values run from lo to lo + 65535 * scale
-    if not all(map(math.isfinite, (alpha, lo, scale, tau, lo + 65535 * scale))):
-        raise MalformedPackError(
-            f"non-finite value: alpha={alpha} lo={lo} scale={scale} tau={tau}"
-        )
-    cube = lo + q.astype(np.float64) * scale
-
-    lexicon = Trie(reader.words(weighted=True))
-    proper_nouns = frozenset(reader.words(weighted=False))
-    if not reader.at_end():
+        (version,) = unpack_from("<H", payload)
+        if version != FORMAT_VERSION:
+            raise PackVersionError(f"unsupported pack version {version}")
+        pos = 2
+        header = []
+        for _ in range(2):  # the language code, then the alphabet
+            (size,) = unpack_from("<H", payload, pos)
+            (raw,) = unpack_from(f"{size}s", payload, pos + 2)
+            header.append(raw.decode("utf-8"))
+            pos += 2 + size
+        language, symbols = header
+        try:
+            alphabet = Alphabet(tuple(symbols))
+        except ValueError as exc:
+            raise MalformedPackError(f"bad alphabet {symbols!r}: {exc}") from exc
+        alpha, lo, scale = unpack_from("<ddd", payload, pos)
+        pos += 24
+        v = alphabet.size
+        end = pos + 2 * v**3
+        if end > len(payload):  # where `np.frombuffer` raises ValueError
+            raise TruncatedPackError(f"payload ends at {len(payload)}, needed {end}")
+        q = np.frombuffer(payload, "<u2", count=v**3, offset=pos)
+        (tau,) = unpack_from("<d", payload, end)
+        _check_finite(MalformedPackError, alpha, lo, scale, tau)
+        weights, pos = _words(payload, end + 8, weighted=True)
+        nouns, pos = _words(payload, pos, weighted=False)
+    except struct.error as exc:
+        raise TruncatedPackError(f"payload ends at {len(payload)}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedPackError(f"string is not UTF-8: {exc}") from exc
+    if pos != len(payload):
         raise MalformedPackError("unparsed bytes at end of payload")
 
+    cube = lo + q.astype(np.float64) * scale
     model = TrigramModel(language=language, alphabet=alphabet, table=cube.tolist(), alpha=alpha)
     return LanguagePack(
         language=language,
         model=model,
         tau=tau,
-        lexicon=lexicon,
-        proper_nouns=proper_nouns,
+        lexicon=Trie(weights),
+        proper_nouns=frozenset(nouns),
         maxima=trigram_maxima(cube, v),
     )
 
@@ -307,10 +303,7 @@ def make_pack(
     proper_nouns: Iterable[str] = (),
 ) -> LanguagePack:
     """Assemble an in-memory pack without touching disk (no quantization)."""
-    if model.language != tau.language:
-        raise PackError(
-            f"language mismatch: model {model.language!r} vs threshold {tau.language!r}"
-        )
+    _check_language(model, tau)
     return LanguagePack(
         language=model.language,
         model=model,

@@ -93,9 +93,6 @@ def build_training_set(
 def train_selector(
     rows: Sequence[tuple[float, int]],
     language: str = "",
-    learning_rate: float = LEARNING_RATE,
-    max_epochs: int = MAX_EPOCHS,
-    tol: float = CONVERGENCE_TOL,
 ) -> SelectorParams:
     """Fit (w, b) by batch gradient descent on binary cross-entropy.
 
@@ -124,15 +121,15 @@ def train_selector(
     b = 0.0
     n = len(x)
     epoch = 0
-    for epoch in range(1, max_epochs + 1):
+    for epoch in range(1, MAX_EPOCHS + 1):
         z = np.clip(w * x + b, -500.0, 500.0)
         p = 1.0 / (1.0 + np.exp(-z))
         residual = p - y
         dw = float(residual @ x) / n
         db = float(residual.sum()) / n
-        new_w = w - learning_rate * dw
-        new_b = b - learning_rate * db
-        if abs(new_w - w) < tol and abs(new_b - b) < tol:
+        new_w = w - LEARNING_RATE * dw
+        new_b = b - LEARNING_RATE * db
+        if abs(new_w - w) < CONVERGENCE_TOL and abs(new_b - b) < CONVERGENCE_TOL:
             w, b = new_w, new_b
             break
         w, b = new_w, new_b

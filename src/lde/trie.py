@@ -70,11 +70,6 @@ class Trie:
         """All (word, weight) pairs in lexicographic order."""
         return iter(sorted(self._weights.items()))
 
-    def ranked(self) -> list[tuple[str, int]]:
-        """All (word, weight) pairs heaviest first, ties by word: the
-        order of a lexicon file."""
-        return sorted(self._weights.items(), key=_heaviest_first)
-
     def foreign_letters(self, word: str) -> int:
         """How many letters of `word` no lexicon word holds, each repeat
         counted: with two or more, no word is one edit away, and with one,
@@ -193,8 +188,10 @@ def letter_pairs(words: Iterable[str]) -> PairIndex:
     )
 
 
-def _heaviest_first(item: tuple[str, int]) -> tuple[int, str]:
-    return -item[1], item[0]
+def ranked(weights: Mapping[str, int] | Trie) -> list[tuple[str, int]]:
+    """All (word, weight) pairs of `weights` heaviest first, ties by word:
+    the order of a lexicon file."""
+    return sorted(weights.items(), key=lambda item: (-item[1], item[0]))
 
 
 def _add(weights: dict[str, int], word: str, weight: int) -> None:
@@ -213,17 +210,19 @@ def trie_from_pairs(pairs: Iterable[tuple[str, int]]) -> Trie:
 
 def word_frequencies(lines: Iterable[str]) -> list[tuple[str, int]]:
     """Corpus words with counts, most frequent first (ties by word)."""
-    counts = Counter(word for raw in lines for word in normalize_text(raw).split())
-    return sorted(counts.items(), key=_heaviest_first)
+    return ranked(Counter(word for raw in lines for word in normalize_text(raw).split()))
 
 
-def lexicon_from_lines(lines: Iterable[str], top_k: int = 50000) -> Trie:
+def lexicon_from_lines(lines: Iterable[str], top_k: int = 50000) -> dict[str, int]:
     """Frequency-weighted lexicon: the top_k most frequent corpus words."""
-    return trie_from_pairs(word_frequencies(lines)[:top_k])
+    return dict(word_frequencies(lines)[:top_k])
 
 
-def load_lexicon(path) -> Trie:
-    """Read a word<TAB>count lexicon file; a repeated word's counts are summed."""
+def load_lexicon(path) -> dict[str, int]:
+    """Read a word<TAB>count lexicon file; a repeated word's counts are summed.
+
+    The words come back as a plain dict: a `Trie`, with its letter-pair
+    index, is built only when a pack is read."""
     weights: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -235,13 +234,13 @@ def load_lexicon(path) -> Trie:
                 _add(weights, word, int(count))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: bad lexicon line {line!r}") from exc
-    return Trie(weights)
+    return weights
 
 
-def save_lexicon(trie: Trie, path) -> None:
+def save_lexicon(weights: Mapping[str, int] | Trie, path) -> None:
     """Write a word<TAB>count lexicon file, heaviest word first."""
     with open(path, "w", encoding="utf-8") as fh:
-        for word, weight in trie.ranked():
+        for word, weight in ranked(weights):
             fh.write(f"{word}\t{weight}\n")
 
 

@@ -226,6 +226,21 @@ class TestPack:
         ]) == 2
         assert "'abc'" in capsys.readouterr().err
 
+    def test_nan_selector_weight_is_data_error(self, workspace, tmp_path, capsys):
+        selector = tmp_path / "aa.selector.json"
+        selector.write_text('{"language": "aa", "w": NaN, "b": 0.0}', encoding="utf-8")
+        models = workspace["models"]
+        out = tmp_path / "x.ldep"
+        assert main([
+            "pack",
+            "--model", str(models / "aa.json"),
+            "--selector", str(selector),
+            "--lexicon", str(models / "aa.lex"),
+            "--out", str(out),
+        ]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDetect:
     def test_batch_detection(self, workspace, capsys, tmp_path):

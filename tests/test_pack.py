@@ -2,6 +2,7 @@ import math
 import random
 import struct
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,6 +133,48 @@ class TestRoundTrip:
         with pytest.raises(PackError, match="'dab'"):
             write_pack(model, tau, lexicon, tmp_path / "x.ldep")
 
+    def test_plain_dict_lexicon_gives_identical_pack(self, sample_inputs, tmp_path):
+        model, tau, lexicon, nouns = sample_inputs
+        from_trie, from_dict = tmp_path / "trie.ldep", tmp_path / "dict.ldep"
+        write_pack(model, tau, lexicon, from_trie, proper_nouns=nouns)
+        write_pack(model, tau, dict(lexicon.items()), from_dict, proper_nouns=nouns)
+        assert from_trie.read_bytes() == from_dict.read_bytes()
+
+    def test_missing_language_rejected(self, sample_inputs, tmp_path):
+        model, _, lexicon, _ = sample_inputs
+        path = tmp_path / "x.ldep"
+        with pytest.raises(PackError, match="no language code"):
+            write_pack(replace(model, language=""), Threshold("", -1.0), lexicon, path)
+        assert not path.exists()
+
+    def test_string_too_long_rejected(self, sample_inputs, tmp_path):
+        model, tau, lexicon, _ = sample_inputs
+        path = tmp_path / "x.ldep"
+        lexicon = trie_from_pairs([*lexicon.items(), ("a" * 0x10000, 1)])
+        with pytest.raises(PackError, match="string too long to pack \\(65536 bytes\\)"):
+            write_pack(model, tau, lexicon, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("tau", math.nan), ("alpha", math.inf), ("table", -math.inf), ("table", math.inf)],
+        ids=["tau-nan", "alpha-inf", "table-minus-inf", "table-inf"],
+    )
+    def test_non_finite_field_rejected(self, sample_inputs, tmp_path, field, value):
+        """The writer refuses what `read_pack` would refuse, before it
+        quantizes (no numpy warning) and before it opens the file."""
+        model, tau, lexicon, _ = sample_inputs
+        if field == "tau":
+            tau = Threshold(tau.language, value)
+        elif field == "alpha":
+            model = replace(model, alpha=value)
+        else:
+            model = replace(model, table=[value, *model.table[1:]])
+        path = tmp_path / "x.ldep"
+        with pytest.raises(PackError, match="non-finite"):
+            write_pack(model, tau, lexicon, path)
+        assert not path.exists()
+
 
 class TestErrorPaths:
     def write_sample(self, sample_inputs, tmp_path):
@@ -177,6 +220,18 @@ class TestErrorPaths:
         with pytest.raises(MalformedPackError, match="3 bytes after the checksum trailer"):
             read_pack(path)
 
+    def test_shorter_than_magic(self, tmp_path):
+        path = tmp_path / "short.ldep"
+        path.write_bytes(MAGIC[:5])
+        with pytest.raises(TruncatedPackError, match="file is only 5 bytes"):
+            read_pack(path)
+
+    def test_missing_checksum_trailer(self, sample_inputs, tmp_path):
+        path = self.write_sample(sample_inputs, tmp_path)
+        path.write_bytes(path.read_bytes()[:-2])  # the stream ends, half a trailer follows
+        with pytest.raises(TruncatedPackError, match="missing checksum trailer"):
+            read_pack(path)
+
     def rewrite_payload(self, path, old: bytes, new: bytes):
         """Replace the last `old` in the payload and keep the checksum valid."""
         payload = zlib.decompressobj().decompress(path.read_bytes()[8:])
@@ -205,8 +260,11 @@ class TestErrorPaths:
             (b"\x03\x00abc", b"\x03\x00a\xffc", "not UTF-8"),  # lexicon word
             (b"\x09\x00 abcdefgh", b"\x09\x00 a cdefgh", "whitespace"),  # alphabet
             (b"\x03\x00abc", b"\x00\x00", "empty word"),  # lexicon word
+            # the language code, after the u16 version and its u16 length
+            (b"\x01\x00\x02\x00xx", b"\x01\x00\x02\x00x\xff", "not UTF-8"),
+            (b"\x06\x00hagrid", b"\x06\x00hagrid\x00", "unparsed bytes at end of payload"),
         ],
-        ids=["bad-utf8", "repeated-space", "empty-word"],
+        ids=["bad-utf8", "repeated-space", "empty-word", "bad-utf8-header", "unparsed-bytes"],
     )
     def test_invalid_field_value(self, sample_inputs, tmp_path, old, new, message):
         path = self.write_sample(sample_inputs, tmp_path)
