@@ -154,6 +154,8 @@ def write_pack(
     lex_records = sorted(lexicon.items())
     parts.append(struct.pack("<I", len(lex_records)))
     for word, weight in lex_records:
+        if not word:
+            raise PackError("empty lexicon word")
         if not 0 <= weight <= 0xFFFFFFFF:
             raise PackError(f"lexicon weight {weight} of {word!r} is not a u32")
         parts.append(_pack_str(word) + struct.pack("<I", weight))

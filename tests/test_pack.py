@@ -116,6 +116,13 @@ class TestRoundTrip:
         with pytest.raises(PackError, match="empty proper noun"):
             write_pack(model, tau, lexicon, tmp_path / "x.ldep", proper_nouns=["hagrid", ""])
 
+    def test_empty_lexicon_word_rejected(self, sample_inputs, tmp_path):
+        model, tau, lexicon, _ = sample_inputs
+        path = tmp_path / "x.ldep"
+        with pytest.raises(PackError, match="empty lexicon word"):
+            write_pack(model, tau, {**dict(lexicon.items()), "": 1}, path)
+        assert not path.exists()
+
     def test_language_mismatch_rejected(self, sample_inputs, tmp_path):
         model, _, lexicon, _ = sample_inputs
         with pytest.raises(PackError, match="mismatch"):
