@@ -209,7 +209,9 @@ class EngineState:
     with their engine, so another engine never reuses them.
     """
 
-    cache: LruCache  # context -> (language it depends on or None, CACHE_HIT Detection)
+    # context -> (language it depends on or None, CACHE_HIT Detection,
+    # what score_context recorded for the context)
+    cache: LruCache
     current_language: str
     # full scorings, each reading every pack's table: one per detect that
     # misses the cache, plus one per passing typo rescue (the one-table
@@ -332,6 +334,8 @@ class Engine:
         if cached is not None and cached[0] in (None, current):
             hit = cached[1]
             state.current_language = hit.language
+            # the next keystroke extends this context, not the one last scored
+            state.scored = cached[2]
             return hit
 
         scores = self.score_context(tokens, state)
@@ -351,7 +355,8 @@ class Engine:
         path = detection.path
         if path is not DetectionPath.TYPO_RESCUE:
             hit = Detection(detection.language, detection.scores, DetectionPath.CACHE_HIT)
-            state.cache.put(key, (None if path is DetectionPath.NORMAL else current, hit))
+            depends = None if path is DetectionPath.NORMAL else current
+            state.cache.put(key, (depends, hit, state.scored))
         state.current_language = detection.language
         if noun:
             return Detection(detection.language, detection.scores, DetectionPath.PROPER_NOUN)

@@ -94,7 +94,10 @@ def quantize_table(table: list[float]) -> tuple[float, float, np.ndarray]:
 
 
 def _pack_str(text: str) -> bytes:
-    data = text.encode("utf-8")
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        raise PackError(f"string {text!r} has no UTF-8 encoding: {exc}") from exc
     if len(data) > 0xFFFF:
         raise PackError(f"string too long to pack ({len(data)} bytes)")
     return struct.pack("<H", len(data)) + data
@@ -183,28 +186,45 @@ def write_pack(
     )
 
 
+# the fixed-size fields of a word section, as precompiled readers
+_U16 = struct.Struct("<H").unpack_from
+_U32 = struct.Struct("<I").unpack_from
+_U32_U16 = struct.Struct("<IH").unpack_from
+
+
 def _words(data: bytes, pos: int, weighted: bool) -> tuple[dict[str, int], int]:
     """The word section at `pos` and the offset past it: a u32 count, then
     that many records, a string followed by its u32 weight when `weighted`
     (every word weighs 1 otherwise).
 
     One flat loop with no call per record, since the records are most of a
-    pack's load time.  `read_pack` turns the `struct.error` of a record cut
-    short and the `UnicodeDecodeError` of a word into `PackError`s.
+    pack's load time, and one precompiled `unpack_from` per record: in the
+    weighted section, a weight is read together with the size that starts
+    the next record.  After the last weight those two bytes are the first
+    half of the noun section's u32 count, which always follows, so a
+    valid pack always holds them.  `read_pack` turns the `struct.error` of
+    a record cut short and the `UnicodeDecodeError` of a word into
+    `PackError`s; a lexicon record is read whole before its word is
+    decoded, so a lexicon word cut short is refused as truncated.
     """
-    unpack_from = struct.unpack_from
     words: dict[str, int] = {}
-    (count,) = unpack_from("<I", data, pos)
+    (count,) = _U32(data, pos)
     pos += 4
-    for _ in range(count):
-        (size,) = unpack_from("<H", data, pos)
-        start = pos + 2
-        pos = start + size
-        weight = 1
-        if weighted:
-            (weight,) = unpack_from("<I", data, pos)
-            pos += 4
-        words[data[start : start + size].decode("utf-8")] = weight
+    if weighted:
+        if count:
+            (size,) = _U16(data, pos)
+            for _ in range(count):
+                start = pos + 2
+                pos = start + size
+                weight, size = _U32_U16(data, pos)
+                words[data[start:pos].decode()] = weight
+                pos += 4
+    else:
+        for _ in range(count):
+            (size,) = _U16(data, pos)
+            start = pos + 2
+            pos = start + size
+            words[data[start:pos].decode()] = 1
     if pos > len(data):
         raise TruncatedPackError(f"payload ends at {len(data)}, needed {pos}")
     if "" in words:
@@ -212,6 +232,26 @@ def _words(data: bytes, pos: int, weighted: bool) -> tuple[dict[str, int], int]:
     if len(words) != count:
         raise MalformedPackError(f"{count - len(words)} repeated words")
     return words, pos
+
+
+def _dequantize(q: np.ndarray, lo: float, scale: float) -> tuple[list[float], np.ndarray]:
+    """The table of the codes `q`, as a float list and as an ndarray.
+
+    Each entry is `lo + q * scale`, the same float as a dequantization
+    entry by entry, but the list holds one float object per distinct code
+    (a few hundred to a few thousand, against v**3 entries), shared by
+    every entry of that code.  The codes are grouped by a stable argsort,
+    a radix sort for u16 that costs less than `np.unique` on a small table.
+    """
+    order = q.argsort(kind="stable")
+    codes = q[order]
+    first = np.empty(len(codes), dtype=bool)
+    first[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    inverse = np.empty(len(codes), dtype=np.intp)
+    inverse[order] = first.cumsum() - 1
+    values = lo + codes[first].astype(np.float64) * scale
+    return values.astype(object)[inverse].tolist(), values[inverse]
 
 
 def read_pack(path) -> LanguagePack:
@@ -286,8 +326,8 @@ def read_pack(path) -> LanguagePack:
     if pos != len(payload):
         raise MalformedPackError("unparsed bytes at end of payload")
 
-    cube = lo + q.astype(np.float64) * scale
-    model = TrigramModel(language=language, alphabet=alphabet, table=cube.tolist(), alpha=alpha)
+    table, cube = _dequantize(q, lo, scale)
+    model = TrigramModel(language=language, alphabet=alphabet, table=table, alpha=alpha)
     return LanguagePack(
         language=language,
         model=model,

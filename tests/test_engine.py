@@ -936,3 +936,26 @@ class TestKeystrokeReuse:
             (word, len(packs)) for word in ("ab", "aba", "abab", "mn", "mnm", "mnmn", "ab", "abab")
         ]
         assert state.contexts_scored == len(walked) + len(extended)
+
+    def test_a_cache_hit_restores_the_parts_of_its_context(self, monkeypatch):
+        engine = two_language_engine()
+        calls = []
+        real_walk, real_extend = lde.engine.context_log_probs, lde.engine.extended_log_probs
+        monkeypatch.setattr(
+            lde.engine, "context_log_probs",
+            lambda views, words, weights: calls.append("walk") or real_walk(views, words, weights),
+        )
+        monkeypatch.setattr(
+            lde.engine, "extended_log_probs",
+            lambda views, lasts, word: calls.append("extend") or real_extend(views, lasts, word),
+        )
+        state = engine.new_state()
+        for text in ("a", "ab", "abx"):
+            engine.detect(text, state)
+        # a backspace back to "ab" answers from the cache
+        assert engine.detect("ab", state).path is DetectionPath.CACHE_HIT
+        del calls[:]
+        detection = engine.detect("abc", state)
+        # "abc" extends "ab", the context just answered, not "abx"
+        assert calls == ["extend"]
+        assert dict(detection.scores) == engine.score_context(["abc"])

@@ -24,7 +24,7 @@ from lde import (
     train_trigram,
     write_pack,
 )
-from lde.ngram import Alphabet
+from lde.ngram import Alphabet, trigram_maxima
 from lde.pack import MAGIC, MAX_PAYLOAD, quantize_table
 from lde.trie import Trie, trie_from_pairs
 
@@ -80,6 +80,31 @@ class TestRoundTrip:
             assert abs(original - back) <= scale / 2 + 1e-15
         assert sizes.compressed == path.stat().st_size
         assert sizes.compressed < sizes.raw
+
+    def test_table_is_the_dequantized_codes(self, sample_inputs, tmp_path):
+        """Every entry is the float `lo + q * scale` gives, and the table
+        holds one float object per distinct code."""
+        model, tau, lexicon, nouns = sample_inputs
+        path = tmp_path / "xx.ldep"
+        write_pack(model, tau, lexicon, path, proper_nouns=nouns)
+        pack = read_pack(path)
+        lo, scale, q = quantize_table(model.table)
+        dequantized = (lo + q.astype(np.float64) * scale).tolist()
+        assert type(pack.model.table) is list
+        assert [x.hex() for x in pack.model.table] == [x.hex() for x in dequantized]
+        distinct = len(np.unique(q))
+        assert distinct < len(q)
+        assert len({id(x) for x in pack.model.table}) == distinct
+        v = model.alphabet.size
+        assert pack.maxima == trigram_maxima(dequantized, v)
+
+    def test_empty_lexicon_with_a_noun(self, sample_inputs, tmp_path):
+        model, tau, _, _ = sample_inputs
+        path = tmp_path / "xx.ldep"
+        write_pack(model, tau, {}, path, proper_nouns=["hagrid"])
+        pack = read_pack(path)
+        assert dict(pack.lexicon.items()) == {}
+        assert pack.proper_nouns == {"hagrid"}
 
     def test_byte_determinism(self, sample_inputs, tmp_path):
         model, tau, lexicon, nouns = sample_inputs
@@ -160,6 +185,23 @@ class TestRoundTrip:
         lexicon = trie_from_pairs([*lexicon.items(), ("a" * 0x10000, 1)])
         with pytest.raises(PackError, match="string too long to pack \\(65536 bytes\\)"):
             write_pack(model, tau, lexicon, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("where", ["word", "noun", "language"])
+    def test_lone_surrogate_rejected(self, sample_inputs, tmp_path, where):
+        """A string with no UTF-8 encoding is refused like the writer's
+        other refusals, before the file is opened."""
+        model, tau, lexicon, nouns = sample_inputs
+        lexicon = dict(lexicon.items())
+        if where == "word":
+            lexicon["a\ud800"] = 1
+        elif where == "noun":
+            nouns = ["n\udc00"]
+        else:
+            model, tau = replace(model, language="x\ud800"), Threshold("x\ud800", tau.tau)
+        path = tmp_path / "x.ldep"
+        with pytest.raises(PackError, match="no UTF-8 encoding"):
+            write_pack(model, tau, lexicon, path, proper_nouns=nouns)
         assert not path.exists()
 
     @pytest.mark.parametrize(
