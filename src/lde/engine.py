@@ -217,9 +217,10 @@ class EngineState:
     # misses the cache, plus one per passing typo rescue (the one-table
     # check that decides a rescue does not count)
     contexts_scored: int = 0
-    # the context score_context last scored in this state and what it
-    # found: (the engine's views, every token but the last, the last
-    # token, every pack's head, every pack's last)
+    # the context score_context last scored in this state, or the one a
+    # cache hit last answered, and what scoring it found: (the engine's
+    # views, every token but the last, the last token, every pack's head,
+    # every pack's last)
     scored: tuple | None = None
 
 

@@ -210,16 +210,15 @@ def _words(data: bytes, pos: int, weighted: bool) -> tuple[dict[str, int], int]:
     words: dict[str, int] = {}
     (count,) = _U32(data, pos)
     pos += 4
-    if weighted:
-        if count:
-            (size,) = _U16(data, pos)
-            for _ in range(count):
-                start = pos + 2
-                pos = start + size
-                weight, size = _U32_U16(data, pos)
-                words[data[start:pos].decode()] = weight
-                pos += 4
-    else:
+    if weighted and count:
+        (size,) = _U16(data, pos)
+        for _ in range(count):
+            start = pos + 2
+            pos = start + size
+            weight, size = _U32_U16(data, pos)
+            words[data[start:pos].decode()] = weight
+            pos += 4
+    else:  # the nouns, or an empty lexicon
         for _ in range(count):
             (size,) = _U16(data, pos)
             start = pos + 2

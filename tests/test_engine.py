@@ -954,7 +954,7 @@ class TestKeystrokeReuse:
             engine.detect(text, state)
         # a backspace back to "ab" answers from the cache
         assert engine.detect("ab", state).path is DetectionPath.CACHE_HIT
-        del calls[:]
+        calls.clear()
         detection = engine.detect("abc", state)
         # "abc" extends "ab", the context just answered, not "abx"
         assert calls == ["extend"]

@@ -95,8 +95,7 @@ class TestRoundTrip:
         distinct = len(np.unique(q))
         assert distinct < len(q)
         assert len({id(x) for x in pack.model.table}) == distinct
-        v = model.alphabet.size
-        assert pack.maxima == trigram_maxima(dequantized, v)
+        assert pack.maxima == trigram_maxima(dequantized, model.alphabet.size)
 
     def test_empty_lexicon_with_a_noun(self, sample_inputs, tmp_path):
         model, tau, _, _ = sample_inputs

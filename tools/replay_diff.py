@@ -18,6 +18,7 @@ checked this way on each workload.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -29,8 +30,6 @@ def record(root: Path, workload: str, seed: int, out_dir: Path) -> None:
     """Print the packs' digests as one JSON line, then one line per call:
     the checkout at `root` generates and replays the workload."""
     sys.path[:0] = [str(root / "src"), str(root)]
-    import hashlib
-
     from lde import Engine, EngineConfig, read_pack
     from ldebench.workloads import generate
 
