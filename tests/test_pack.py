@@ -347,6 +347,22 @@ class TestErrorPaths:
         with pytest.raises(TruncatedPackError):
             read_pack(path)
 
+    def test_bad_last_word_in_a_payload_cut_after_its_weight(self, sample_inputs, tmp_path):
+        """Two faults at once: the last lexicon word is not UTF-8, and the
+        payload ends one byte after its weight.  A lexicon record is read
+        together with the two bytes after it before its word is decoded,
+        so the cut is what is reported."""
+        path = self.write_sample(sample_inputs, tmp_path)
+        payload = zlib.decompressobj().decompress(path.read_bytes()[8:])
+        record = b"\x03\x00def" + struct.pack("<I", 5)  # the last of abc, cafe, def
+        at = payload.rindex(record)
+        payload = payload[:at] + b"\x03\x00d\xfff" + struct.pack("<I", 5) + b"\x01"
+        path.write_bytes(
+            MAGIC + zlib.compress(payload, 9) + struct.pack("<I", zlib.crc32(payload))
+        )
+        with pytest.raises(TruncatedPackError):
+            read_pack(path)
+
     @pytest.mark.parametrize(
         "field, value",
         [("tau", math.nan), ("scale", 1e308), ("lo", -math.inf), ("alpha", math.inf)],

@@ -1,6 +1,8 @@
-"""`tools/replay_diff.py`'s comparison, on synthetic records, and one
-replay of a checkout against itself."""
+"""`tools/replay_diff.py`'s comparison, on synthetic records, its refusal
+of a checkout without its own `lde`, and one replay of a checkout against
+itself."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,24 +19,24 @@ CALLS = [
 
 
 def test_identical_replays_have_no_mismatch():
-    assert compare((PACKS, CALLS), (dict(PACKS), [list(c) for c in CALLS]), show=10) == []
+    assert compare((PACKS, CALLS), (dict(PACKS), [list(c) for c in CALLS])) == []
 
 
 def test_a_score_differing_in_its_last_bit_is_a_mismatch():
     changed = [list(c) for c in CALLS]
     changed[2][4] = {"l0": "-0x1.0000000000001p+1", "l1": "0x1.0p-2"}
-    problems = compare((PACKS, CALLS), (PACKS, changed), show=10)
+    problems = compare((PACKS, CALLS), (PACKS, changed))
     assert len(problems) == 1 and problems[0].startswith("call 2:")
 
 
 def test_a_differing_count_of_scorings_is_a_mismatch():
     changed = [list(c) for c in CALLS]
     changed[1][5] = 2
-    assert compare((PACKS, CALLS), (PACKS, changed), show=10)[0].startswith("call 1:")
+    assert compare((PACKS, CALLS), (PACKS, changed))[0].startswith("call 1:")
 
 
 def test_differing_packs_and_call_counts_are_named():
-    problems = compare((PACKS, CALLS), ({**PACKS, "l1.ldep": "ffff"}, CALLS[:2]), show=10)
+    problems = compare((PACKS, CALLS), ({**PACKS, "l1.ldep": "ffff"}, CALLS[:2]))
     assert problems == ["pack l1.ldep: 11cd != ffff", "3 calls != 2"]
 
 
@@ -44,6 +46,19 @@ def test_only_the_first_mismatches_are_shown():
     assert len(problems) == 2
     assert problems[0].startswith("call 0:")
     assert problems[1] == "... 2 more calls differ"
+
+
+def test_a_checkout_without_its_own_lde_is_refused(tmp_path):
+    """A checkout whose `src` holds no `lde` must not be replayed with
+    some other copy found further along `sys.path`."""
+    (tmp_path / "src").mkdir()
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "replay_diff.py"), "--record", str(tmp_path),
+         "--workload", "cold-10", "--seed", "3", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, check=False, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode != 0
+    assert "lde imported from" in done.stderr and done.stdout == ""
 
 
 def test_a_checkout_replays_identically_to_itself():

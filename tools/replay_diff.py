@@ -1,7 +1,7 @@
 """Replay one workload in two checkouts and compare every answer.
 
     python3 tools/replay_diff.py --parent DIR --change DIR \
-        --workload keystroke-2 --seed 5 [--show 10]
+        --workload keystroke-2 --seed 5
 
 In each checkout, in a subprocess with that checkout's `src` and root
 first on `sys.path`, the workload is generated (`ldebench.workloads`)
@@ -10,7 +10,7 @@ subprocess records the SHA-256 of every pack's bytes and, per call, the
 text, language, path, correction, `float.hex` of every score, the
 state's `contexts_scored` and its session language after the call.  The
 two records are compared call by call: the script prints the number of
-calls and the first `--show` mismatches, and exits 1 on any mismatch.
+calls and the first `SHOW` mismatches, and exits 1 on any mismatch.
 A change meant to keep every decision and score bit-identical is
 checked this way on each workload.
 """
@@ -19,17 +19,26 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+# how many mismatched calls are printed
+SHOW = 10
+
 
 def record(root: Path, workload: str, seed: int, out_dir: Path) -> None:
     """Print the packs' digests as one JSON line, then one line per call:
-    the checkout at `root` generates and replays the workload."""
+    the checkout at `root` generates and replays the workload.  Exits
+    non-zero if `lde` or `ldebench` is imported from anywhere else."""
     sys.path[:0] = [str(root / "src"), str(root)]
+    for name, home in (("lde", root / "src"), ("ldebench", root)):
+        module = importlib.import_module(name)
+        if not Path(module.__file__).resolve().is_relative_to(home.resolve()):
+            raise SystemExit(f"{name} imported from {module.__file__}, not {home}")
     from lde import Engine, EngineConfig, read_pack
     from ldebench.workloads import generate
 
@@ -61,7 +70,7 @@ def replay(root: Path, workload: str, seed: int) -> tuple[dict, list[list]]:
     return packs, calls
 
 
-def compare(parent: tuple[dict, list], change: tuple[dict, list], show: int) -> list[str]:
+def compare(parent: tuple[dict, list], change: tuple[dict, list], show: int = SHOW) -> list[str]:
     """Every difference between two replays, as readable lines, of which
     at most `show` name a call."""
     (parent_packs, parent_calls), (change_packs, change_calls) = parent, change
@@ -85,7 +94,6 @@ def main() -> int:
     parser.add_argument("--change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--show", type=int, default=10, help="mismatched calls to print")
     # the subprocess side: record one checkout's replay to stdout
     parser.add_argument("--record", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--out-dir", type=Path, help=argparse.SUPPRESS)
@@ -98,7 +106,7 @@ def main() -> int:
 
     parent = replay(args.parent, args.workload, args.seed)
     change = replay(args.change, args.workload, args.seed)
-    problems = compare(parent, change, args.show)
+    problems = compare(parent, change)
     print(f"{args.workload} seed {args.seed}: {len(parent[0])} packs, "
           f"{len(parent[1])} calls, {'identical' if not problems else 'DIFFERENT'}")
     for line in problems:
