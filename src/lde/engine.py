@@ -370,22 +370,20 @@ class Engine:
 
         Only fires when the token is in no language's lexicon and exactly
         one non-current language offers an edit-distance-1 candidate whose
-        corrected context clears that language's threshold.  A lexicon
-        whose words lack two of the token's letters offers none and is not
-        searched; those lacking one, whose search only edits that letter,
-        are searched first.  The search stops at the second language that
-        offers a candidate.
-
-        A search that no letter limits covers the whole lexicon, so while
-        no candidate is in hand it is made only for a language the
-        correction can lift to the threshold.  The last word weighs 1, so
-        a correction `w` of it scores `scores[lang] + (lp(w) - lp(last)) /
-        mass`, and `edit1_gain_bound` bounds that gain from above.  A
+        corrected context clears that language's threshold.  The
+        non-current languages are taken in registration order under one
+        rule.  A lexicon whose words lack two of the token's letters
+        offers none and is skipped.  A search that no letter limits covers
+        the whole lexicon, so it is deferred for a language the correction
+        cannot lift to the threshold.  The last word weighs 1, so a
+        correction `w` of it scores `scores[lang] + (lp(w) - lp(last)) /
+        mass`, and `edit1_gain_bound` bounds that gain from above; a
         language whose bound stays below `LOG_HALF` by more than
-        `_ROUNDING` cannot pass; its candidate could only block another
-        language's rescue, so it is searched only once another
-        language's candidate has passed.  With no such candidate the
-        rescue fails unsearched.
+        `_ROUNDING` cannot pass.  Each remaining lexicon is searched, and
+        the search stops at the second language that offers a candidate.  A
+        deferred language's candidate could only block another language's
+        rescue, so it is searched only once another language's candidate
+        has passed; with no such candidate the rescue fails unsearched.
 
         The corrected context keeps the heads `score_context` has just
         recorded for `tokens`, so only the corrected word is walked: in the
@@ -400,19 +398,17 @@ class Engine:
         if any(last in lexicon for lexicon in lexicons):
             return None
         current = state.current_language
-        limited, unlimited = [], []
-        for i, (lang, _) in enumerate(self._taus):
-            if lang != current:
-                foreign = lexicons[i].foreign_letters(last)
-                if foreign < 2:
-                    (limited if foreign else unlimited).append(i)
         reach = LOG_HALF - _ROUNDING
         mass = self._recency[len(tokens)][1]
         rescue = None
         deferred = []
-        for k, i in enumerate(limited + unlimited):
-            if rescue is None and k >= len(limited):
-                lang = self._taus[i][0]
+        for i, (lang, _) in enumerate(self._taus):
+            if lang == current:
+                continue
+            foreign = lexicons[i].foreign_letters(last)
+            if foreign > 1:
+                continue
+            if not foreign:
                 gain = edit1_gain_bound(self._views[i], self._maxima[i], last)
                 if scores[lang] + gain / mass < reach:
                     deferred.append(i)

@@ -9,8 +9,9 @@ confusion matrix, and the test set's code-switch rate.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .engine import Engine
 
@@ -110,13 +111,14 @@ def _finish(
     )
 
 
-def eval_intra(sentences: Sequence[TaggedSentence], engine: Engine) -> EvalReport:
-    """Per-word detection over growing sentence prefixes.
-
-    Engine state is reset for every sentence, so sentence order never
-    affects the report.  The first token is evaluated with a one-token
-    context.
-    """
+def _evaluate(
+    sentences: Sequence[TaggedSentence],
+    engine: Engine,
+    cases: Callable[[TaggedSentence], Iterable[tuple[str, str]]],
+) -> EvalReport:
+    """Detect the text of every (text, gold) pair `cases` gives for each
+    sentence, with the engine state reset for every sentence, so sentence
+    order never affects the report."""
     if not sentences:
         raise ValueError("empty test set")
     _check_labels(sentences, engine)
@@ -124,41 +126,42 @@ def eval_intra(sentences: Sequence[TaggedSentence], engine: Engine) -> EvalRepor
     total = 0
     for sentence in sentences:
         state = engine.new_state()
-        words = sentence.words()
-        for k, (_, gold) in enumerate(sentence.tokens, start=1):
-            detection = engine.detect(" ".join(words[:k]), state)
+        for text, gold in cases(sentence):
+            language = engine.detect(text, state).language
             row = confusion.setdefault(gold, {})
-            row[detection.language] = row.get(detection.language, 0) + 1
+            row[language] = row.get(language, 0) + 1
             total += 1
     return _finish(confusion, total, code_switch_rate(sentences))
 
 
+def _prefixes(sentence: TaggedSentence) -> Iterator[tuple[str, str]]:
+    words = sentence.words()
+    for k, (_, gold) in enumerate(sentence.tokens, start=1):
+        yield " ".join(words[:k]), gold
+
+
+def eval_intra(sentences: Sequence[TaggedSentence], engine: Engine) -> EvalReport:
+    """Per-word detection over growing sentence prefixes.
+
+    The first token is evaluated with a one-token context.
+    """
+    return _evaluate(sentences, engine, _prefixes)
+
+
 def majority_label(sentence: TaggedSentence) -> str:
     """Most frequent gold label; ties go to the earlier first occurrence."""
-    counts: dict[str, int] = {}
-    for _, gold in sentence.tokens:
-        counts[gold] = counts.get(gold, 0) + 1
-    first_seen: dict[str, int] = {}
-    for i, (_, gold) in enumerate(sentence.tokens):
-        first_seen.setdefault(gold, i)
-    return max(counts, key=lambda lang: (counts[lang], -first_seen[lang]))
+    # a Counter keeps first-seen order, and max keeps the first of a tie
+    counts = Counter(gold for _, gold in sentence.tokens)
+    return max(counts, key=counts.__getitem__)
 
 
 def eval_inter(sentences: Sequence[TaggedSentence], engine: Engine) -> EvalReport:
     """One detection per full sentence against its majority gold label."""
-    if not sentences:
-        raise ValueError("empty test set")
-    _check_labels(sentences, engine)
-    confusion: dict[str, dict[str, int]] = {}
-    total = 0
-    for sentence in sentences:
-        state = engine.new_state()
-        gold = majority_label(sentence)
-        detection = engine.detect(" ".join(sentence.words()), state)
-        row = confusion.setdefault(gold, {})
-        row[detection.language] = row.get(detection.language, 0) + 1
-        total += 1
-    return _finish(confusion, total, code_switch_rate(sentences))
+    return _evaluate(
+        sentences,
+        engine,
+        lambda sentence: [(" ".join(sentence.words()), majority_label(sentence))],
+    )
 
 
 def read_tagged_tsv(path) -> list[TaggedSentence]:

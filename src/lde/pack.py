@@ -353,19 +353,3 @@ def make_pack(
         proper_nouns=frozenset(proper_nouns),
         maxima=trigram_maxima(model.table, model.alphabet.size),
     )
-
-
-__all__ = [
-    "LanguagePack",
-    "PackSizes",
-    "PackError",
-    "NotAPackError",
-    "PackVersionError",
-    "PackChecksumError",
-    "TruncatedPackError",
-    "MalformedPackError",
-    "write_pack",
-    "read_pack",
-    "make_pack",
-    "quantize_table",
-]

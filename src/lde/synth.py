@@ -115,32 +115,29 @@ def share_loans(
         lang.weights = _zipf_weights(len(lang.vocabulary))
 
 
-def corpus_lines(
-    lang: SyntheticLanguage,
-    n_lines: int,
-    seed: int = 0,
-    words_per_line: tuple[int, int] = (3, 9),
-) -> list[str]:
+# words in a corpus line, and in a test sentence (both bounds included)
+WORDS_PER_LINE = (3, 9)
+SENTENCE_LEN = (4, 10)
+# the chance that a code-switched sentence switches between adjacent words
+SWITCH_PROB = 0.3
+
+
+def corpus_lines(lang: SyntheticLanguage, n_lines: int, seed: int = 0) -> list[str]:
     """Monolingual training corpus, one sentence per line."""
     rng = random.Random(seed)
     lines = []
     for _ in range(n_lines):
-        n = rng.randint(*words_per_line)
+        n = rng.randint(*WORDS_PER_LINE)
         lines.append(" ".join(lang.sample_words(rng, n)))
     return lines
 
 
 def intra_sentences(
-    a: SyntheticLanguage,
-    b: SyntheticLanguage,
-    n_sentences: int,
-    seed: int = 0,
-    switch_prob: float = 0.3,
-    sentence_len: tuple[int, int] = (4, 10),
+    a: SyntheticLanguage, b: SyntheticLanguage, n_sentences: int, seed: int = 0
 ) -> list[TaggedSentence]:
     """Code-switched sentences with word-level gold labels.
 
-    The language switches between adjacent words with `switch_prob`; every
+    The language switches between adjacent words with `SWITCH_PROB`; every
     word's gold label is the language of the run it was sampled from.
     """
     rng = random.Random(seed)
@@ -148,8 +145,8 @@ def intra_sentences(
     for i in range(n_sentences):
         current = rng.choice((a, b))
         tokens = []
-        for _ in range(rng.randint(*sentence_len)):
-            if tokens and rng.random() < switch_prob:
+        for _ in range(rng.randint(*SENTENCE_LEN)):
+            if tokens and rng.random() < SWITCH_PROB:
                 current = b if current is a else a
             tokens.append((current.sample_words(rng, 1)[0], current.code))
         sentences.append(TaggedSentence(id=f"intra-{i:05d}", tokens=tokens))
@@ -157,11 +154,7 @@ def intra_sentences(
 
 
 def inter_sentences(
-    a: SyntheticLanguage,
-    b: SyntheticLanguage,
-    n_sentences: int,
-    seed: int = 0,
-    sentence_len: tuple[int, int] = (4, 10),
+    a: SyntheticLanguage, b: SyntheticLanguage, n_sentences: int, seed: int = 0
 ) -> list[TaggedSentence]:
     """Monolingual sentences, language switching only between sentences."""
     rng = random.Random(seed)
@@ -170,7 +163,7 @@ def inter_sentences(
         lang = rng.choice((a, b))
         tokens = [
             (word, lang.code)
-            for word in lang.sample_words(rng, rng.randint(*sentence_len))
+            for word in lang.sample_words(rng, rng.randint(*SENTENCE_LEN))
         ]
         sentences.append(TaggedSentence(id=f"inter-{i:05d}", tokens=tokens))
     return sentences

@@ -81,10 +81,9 @@ class Trie:
 
         Distance 0 (the word itself) counts.  Results are ordered by
         descending weight, then lexicographically, and truncated to
-        `max_results`; with `max_results=1` the heaviest hit is taken
-        with `min` instead of a sort.  A query holding two letters no
-        word holds has no candidate and makes no probe; otherwise only the
-        strings `pair_probes` generates are looked up.
+        `max_results`.  A query holding two letters no word holds has no
+        candidate and makes no probe; otherwise only the strings
+        `pair_probes` generates are looked up.
         """
         if not word:
             raise ValueError("empty word")
@@ -93,11 +92,8 @@ class Trie:
         weights = self._weights
         follow, lead = self._pairs
         hits = weights.keys() & pair_probes(word, follow, lead)
-        if not hits:
-            return []
-        ranked = [(-weights[w], w) for w in hits]
-        best = [min(ranked)] if max_results == 1 else sorted(ranked)[:max_results]
-        return [(w, -negative) for negative, w in best]
+        ranked = sorted((-weights[w], w) for w in hits)[:max_results]
+        return [(w, -negative) for negative, w in ranked]
 
 
 def pair_probes(word: str, follow: Mapping[str, Letters], lead: Mapping[str, Letters]) -> list[str]:

@@ -1,6 +1,9 @@
-"""`tools/bench_pairs.py`'s summary, on synthetic pairs."""
+"""`tools/bench_pairs.py`'s summary and progress line, on synthetic pairs."""
 
-from tools.bench_pairs import summary
+import json
+from pathlib import Path
+
+from tools.bench_pairs import progress_line, summary
 
 METRICS = [
     {"name": "detect_p50_us", "better": "lower", "bound": 0.25},
@@ -55,3 +58,16 @@ def test_a_metric_missing_from_a_pair_is_left_out():
     pairs = pairs_of(PARENT, PARENT)
     del pairs[3]["change"]["detect_p50_us"]
     assert summary(pairs, METRICS) == {}
+
+
+def test_neither_kind_of_pair_shows_a_null_progress_metric():
+    # an untraced run reports the end-to-end metrics, a traced one the
+    # per-layer metrics, as BENCHMARK.json lists them
+    declared = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    for kind, traced in (("end_to_end", False), ("per_layer", True)):
+        side = {metric["name"]: 1.0 for metric in declared[kind]}
+        pair = {"seed": 1, "order": "parent first", "parent": side, "change": side}
+        line = json.loads(progress_line(pair, traced))
+        assert line["seed"] == 1 and line["order"] == "parent first"
+        for shown in (line["parent"], line["change"]):
+            assert shown and None not in shown.values(), (kind, shown)

@@ -493,6 +493,30 @@ class TestTypoRescue:
         assert detection.path is DetectionPath.FALLBACK
         assert searched == [(yy.lexicon, "kaal"), (zz.lexicon, "kaal")]
 
+    def test_a_ruled_out_language_waits_behind_a_candidate(self, monkeypatch):
+        # yy's "kal" lacks the s of "ksl", so its search is limited and made
+        # at once; zz holds every letter and cannot pass, so its whole
+        # lexicon is searched only after yy's candidate passes, which it
+        # does not
+        model_x = model_from_probs(ALPHABET, 0.05, language="xx")
+        packs = [simple_pack(model_x, tau=-2.0, lexicon_words=("ab",))]
+        for lang, words in (("yy", ("kal",)), ("zz", ("ks", "l"))):
+            model = model_from_probs(ALPHABET, 0.05, language=lang)
+            packs.append(simple_pack(model, tau=50.0, lexicon_words=words))
+        engine = Engine(packs, EngineConfig(languages=("xx", "yy", "zz")))
+        yy_lexicon = engine.packs["yy"].lexicon
+        searched = []
+        search = Trie.edit1_candidates
+
+        def spy(trie, word, max_results=10):
+            searched.append((trie, word))
+            return search(trie, word, max_results)
+
+        monkeypatch.setattr(Trie, "edit1_candidates", spy)
+        detection = engine.detect("ksl", engine.new_state())
+        assert detection.path is DetectionPath.FALLBACK
+        assert searched == [(yy_lexicon, "ksl")]
+
     def test_in_lexicon_token_not_rescued(self):
         engine = self.rescue_engine()
         state = engine.new_state()

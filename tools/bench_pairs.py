@@ -14,10 +14,10 @@ how many pairs the change won, whether a claimed gain holds (the change
 won nine tenths of the pairs, by more than the parent's interquartile
 range in the median) and whether the change stays within the metric's
 `BENCHMARK.json` bound.  After each pair one line shows its seed, its
-order and both sides' `PROGRESS` metrics, so that a claim can be
-followed while the pairs run.  A run that exits non-zero or reports
-`correct: false` stops the script with its failures and stderr tail, and
-its pair is not recorded.
+order and both sides' `PROGRESS` metrics (`TRACED_PROGRESS` for a traced
+pair), so that a claim can be followed while the pairs run.  A run that
+exits non-zero or reports `correct: false` stops the script with its
+failures and stderr tail, and its pair is not recorded.
 """
 
 from __future__ import annotations
@@ -29,8 +29,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-# the metrics each pair's progress line shows for both sides
+# the metrics each pair's progress line shows for both sides, untraced
+# and traced: a traced run reports only the per-layer metrics
 PROGRESS = ("detect_p50_us", "detect_p99_us", "detect_per_s")
+TRACED_PROGRESS = ("trie.edit1_calls_per_detect", "trie.edit1_us", "engine.score_context_us")
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -50,6 +52,13 @@ def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) ->
                                     done.stderr[-2000:]]))
     return {name: metric["value"] for name, metric in result["metrics"].items()} | {
         "failed": result["failed"], "attempted": result["attempted"]}
+
+
+def progress_line(pair: dict, traced: bool) -> str:
+    """One pair's seed, order and both sides' progress metrics, as JSON."""
+    shown = TRACED_PROGRESS if traced else PROGRESS
+    return json.dumps({k: pair[k] for k in ("seed", "order")}
+                      | {s: {m: pair[s].get(m) for m in shown} for s in ("parent", "change")})
 
 
 def seeds_of(text: str) -> list[int]:
@@ -116,9 +125,7 @@ def main() -> int:
             pair[side] = run_once(getattr(args, side), args.workload, seed,
                                   args.seconds, args.trace)
         entry["traced" if args.trace else "pairs"].append(pair)
-        print(json.dumps({k: pair[k] for k in ("seed", "order")}
-                         | {s: {m: pair[s].get(m) for m in PROGRESS} for s in ("parent", "change")}),
-              flush=True)
+        print(progress_line(pair, bool(args.trace)), flush=True)
         entry["summary"] = summary(entry["pairs"], metrics)
         out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
