@@ -20,9 +20,11 @@ its last word, so each pack keeps its head and adds one trigram term to
 its last (`ngram.extended_log_probs`) instead of walking the context
 again.  On top of that sit a session LRU cache keyed by the context that
 is scored, and typo rescue for out-of-lexicon tokens one edit away from
-a word in a non-current language.  A rescue searches a whole lexicon
-only for a language that the correction can lift to its threshold, by
-an exact upper bound on what one edit can gain a word
+a word in a non-current language.  A token with a letter triple that
+no word of a lexicon holds is searched there at once, since the search
+only edits next to that triple.  A rescue searches a whole lexicon only
+for a language that the correction can lift to its threshold, by an
+exact upper bound on what one edit can gain a word
 (`ngram.edit1_gain_bound`); the languages it rules out are searched only
 to find a candidate that blocks a passing rescue.  It scores the
 corrected context with the heads just kept and a walk of the corrected
@@ -373,7 +375,9 @@ class Engine:
         corrected context clears that language's threshold.  The
         non-current languages are taken in registration order under one
         rule.  A lexicon whose words lack two of the token's letters
-        offers none and is skipped.  A search that no letter limits covers
+        offers none and is skipped.  A lexicon in which the token has a
+        bad triple (`Trie.bad_triples`) is searched at once, since the
+        search only edits next to it.  A search with no bad triple covers
         the whole lexicon, so it is deferred for a language the correction
         cannot lift to the threshold.  The last word weighs 1, so a
         correction `w` of it scores `scores[lang] + (lp(w) - lp(last)) /
@@ -408,7 +412,8 @@ class Engine:
             foreign = lexicons[i].foreign_letters(last)
             if foreign > 1:
                 continue
-            if not foreign:
+            # a letter no word holds makes a bad triple
+            if not foreign and not lexicons[i].bad_triples(last):
                 gain = edit1_gain_bound(self._views[i], self._maxima[i], last)
                 if scores[lang] + gain / mass < reach:
                     deferred.append(i)

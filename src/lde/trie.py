@@ -7,55 +7,54 @@ are generated from the query, in the manner of Norvig's spelling
 corrector, and looked up in that dict.
 
 Only probes that could be words are generated.  A lexicon is fixed once
-built, and derives when built an exact letter-pair index: for each
-letter, and for the word boundary, which letters follow it and which
-precede it in some word.  A query's pairs that no word holds mark where
-it must be edited: a substitution or deletion of one letter repairs the
-two pairs around it, an insertion the one pair it splits, so bad pairs
-more than one position apart leave no candidate; a letter no word holds
-spoils the two pairs around it, so two such letters leave none.  The
-letter a substitution or insertion puts between `p` and `q` comes from
-`follow[p] & lead[q]`, and a deletion is tried only if `q` may follow
-`p`.  Every pair of a lexicon word is in the index, so the pruning never
-drops a candidate.  The two-foreign-letter rule is checked before any
-probe is made, with one `str.translate` that deletes every lexicon
-letter from the query.
+built, and derives when built an exact letter-triple index: for each
+(left, right) pair of symbols, the string of letters found between them
+in some word.  A symbol is a letter or the lexicon's boundary, a code
+point no word holds that stands before a word's first letter and after
+its last.  The triple at letter i of a query is bad when that letter is
+not in the entry of its two neighbours.  An edit of letter i replaces
+triples i - 1..i + 1 and an insertion before letter g replaces triples
+g - 1..g, so bad triples more than two positions apart leave no
+candidate, and otherwise only the edits that replace every bad triple
+are probed.  A substitution or insertion draws its letter from the
+entry of the two symbols around it, and a deletion is probed only if
+the two triples it forms are in the index.  Every triple of a lexicon
+word is in the index, so the pruning never drops a candidate.  A letter
+no word holds spoils the triples around it, and two such letters leave
+no candidate: that is checked before any probe is made, with one
+`str.translate` that deletes every lexicon letter from the query.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from itertools import count
-from typing import Iterable, Iterator, Mapping
+import sys
+from collections import Counter
+from operator import add
+from typing import Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .ngram import normalize_text
-
-Letters = frozenset[str]
-PairIndex = tuple[Mapping[str, Letters], Mapping[str, Letters]]  # (follow, lead)
-
-BOUNDARY = ""  # the letter before a word's first and after its last
-_NONE: Letters = frozenset()
 
 
 class Trie:
     """Word -> weight lexicon, fixed once built.
 
     `Trie(weights)` adopts a dict of non-empty words as it is, and derives
-    from the words in bulk the letter-pair index and the table that
-    deletes every lexicon letter.  No word can be added, so both stay
-    exact.
+    from the words in bulk the letter-triple index and, from the index,
+    the table that deletes every lexicon letter.  No word can be added,
+    so both stay exact.
     """
 
     def __init__(self, weights: dict[str, int] | None = None):
         self._weights: dict[str, int] = {} if weights is None else weights
-        # (follow, lead): for each letter, and for BOUNDARY, the letters that
-        # follow it (BOUNDARY too if it ends a word) and those that precede
-        # it in some word
-        self._pairs: PairIndex = letter_pairs(self._weights)
-        # lexicon letter -> None, for `str.translate`
-        self._known: dict[int, None] = str.maketrans("", "", "".join(self._pairs[0]))
+        # the boundary symbol, and for each (left, right) pair of symbols,
+        # as a 2-character key, the letters between them in some word
+        self._boundary, self._between = letter_triples(self._weights)
+        # lexicon letter -> None, for `str.translate`: each letter of a
+        # word is the middle of one of its triples
+        letters = set("".join(self._between.values()))
+        self._known: dict[int, None] = str.maketrans("", "", "".join(letters))
 
     def __contains__(self, word: str) -> bool:
         return word in self._weights
@@ -76,112 +75,134 @@ class Trie:
         an edit-1 search only edits that letter."""
         return len(word.translate(self._known))
 
+    def bad_triples(self, word: str) -> list[int]:
+        """The positions i, in increasing order, at which letter i of
+        `word` is found between its two neighbours in no word, the
+        boundary standing in for a missing neighbour.  With none, an
+        edit-1 search may edit anywhere; with some, only next to them."""
+        between = self._between
+        padded = self._boundary + word + self._boundary
+        return [
+            i for i in range(len(word))
+            if padded[i + 1] not in between.get(padded[i : i + 3 : 2], "")
+        ]
+
+    def probes(self, word: str) -> list[str]:
+        """The strings one edit from `word` (itself included, repeats
+        allowed) that the letter-triple index does not rule out.
+
+        Substituting or deleting letter i replaces triples i - 1..i + 1;
+        inserting before letter g (or at the end, g = len(word)) replaces
+        triples g - 1..g.  An edit is tried only if the triples it
+        replaces include every bad one.  A substitution or insertion puts
+        in each letter the index holds between the two symbols around it,
+        and a deletion is tried only if both triples it forms are in the
+        index, so every lexicon word one edit from `word` is a probe.
+        """
+        bad = self.bad_triples(word)
+        n = len(word)
+        if bad:
+            first, last = bad[0], bad[-1]
+            if last - first > 2:
+                return []
+            probes = []
+        else:
+            first, last = n, -1
+            probes = [word]
+        between = self._between
+        # letter i is padded[i + 1], between padded[i] and padded[i + 2]
+        padded = self._boundary + word + self._boundary
+        for i in range(max(last - 1, 0), min(first + 1, n - 1) + 1):
+            head, tail = word[:i], word[i + 1 :]
+            left, right = padded[i], padded[i + 2]
+            probes += [head + ch + tail for ch in between.get(left + right, "")]
+            # deleting letter i forms the triples centred on `left` and on
+            # `right`, unless that one is the boundary
+            if (i == 0 or left in between.get(padded[i - 1] + right, "")) and (
+                i == n - 1 or right in between.get(left + padded[i + 3], "")
+            ):
+                probes.append(head + tail)
+        for g in range(max(last, 0), min(first + 1, n) + 1):
+            head, tail = word[:g], word[g:]
+            probes += [head + ch + tail for ch in between.get(padded[g : g + 2], "")]
+        return probes
+
     def edit1_candidates(self, word: str, max_results: int = 10) -> list[tuple[str, int]]:
         """Words in the lexicon within Levenshtein distance 1 of `word`.
 
         Distance 0 (the word itself) counts.  Results are ordered by
         descending weight, then lexicographically, and truncated to
         `max_results`.  A query holding two letters no word holds has no
-        candidate and makes no probe; otherwise only the strings
-        `pair_probes` generates are looked up.
+        candidate and makes no probe; otherwise only the strings `probes`
+        generates are looked up.
         """
         if not word:
             raise ValueError("empty word")
         if self.foreign_letters(word) > 1:
             return []
         weights = self._weights
-        follow, lead = self._pairs
-        hits = weights.keys() & pair_probes(word, follow, lead)
+        hits = weights.keys() & self.probes(word)
         ranked = sorted((-weights[w], w) for w in hits)[:max_results]
         return [(w, -negative) for negative, w in ranked]
 
 
-def pair_probes(word: str, follow: Mapping[str, Letters], lead: Mapping[str, Letters]) -> list[str]:
-    """The strings one edit from `word` (itself included, repeats allowed)
-    that the letter-pair index (`follow`, `lead`) does not rule out.
+def letter_triples(words: Collection[str]) -> tuple[str, dict[str, str]]:
+    """The boundary of `words` and their exact letter-triple index, built
+    in bulk.
 
-    Pair k of `word` is (padded[k], padded[k + 1]) over `word` padded with
-    `BOUNDARY` at both ends.  Substituting or deleting letter i replaces
-    pairs i and i + 1; inserting at gap g replaces pair g.  An edit is
-    tried only if the pairs it replaces include every bad pair (one no
-    word holds), and it only forms pairs that some word holds, so every
-    lexicon word one edit from `word` is among the probes.
+    The boundary is U+0000, or if a word holds that, the lowest code point
+    no word holds.  The words are joined with the boundary between them
+    and at both ends, each code point is mapped to its dense rank, and the
+    distinct (left, right, middle) rank triples are found with numpy, so
+    the cost is one pass over the text and the tables grow with the number
+    of distinct letters, never with their code points.  Keys and letter
+    strings are interned, so lexicons with the same letters share them.
     """
-    # a letter no word holds has no `follow` entry and spoils the pairs on
-    # both sides: only an edit of it can repair them.  One edit cannot
-    # repair two such letters, and `Trie.edit1_candidates` rejects those
-    # queries first; here the probes of the first one still contain the
-    # second, so they match no word either
-    foreign = [i for i, ch in enumerate(word) if ch not in follow]
-    n = len(word)
-    padded = (BOUNDARY, *word, BOUNDARY)
-    if foreign:
-        first, last = foreign[0], foreign[0] + 1
-        probes = []
-    else:
-        bad = [k for k in range(n + 1) if padded[k + 1] not in follow.get(padded[k], _NONE)]
-        first, last = (bad[0], bad[-1]) if bad else (n, 0)
-        if last - first > 1:
-            return []
-        probes = [] if bad else [word]
-    # bad pairs first..last: letters last - 1..first and gaps last..first
-    # replace them all; with none, every letter and gap may be edited
-    for i in range(max(last - 1, 0), min(first, n - 1) + 1):
-        head, tail = word[:i], word[i + 1 :]
-        before, after = padded[i], padded[i + 2]
-        allowed = follow.get(before, _NONE)
-        if after in allowed:
-            probes.append(head + tail)
-        probes += [head + ch + tail for ch in allowed & lead.get(after, _NONE)]
-    for g in range(last, min(first, n) + 1):
-        head, tail = word[:g], word[g:]
-        allowed = follow.get(padded[g], _NONE) & lead.get(padded[g + 1], _NONE)
-        probes += [head + ch + tail for ch in allowed]
-    return probes
-
-
-def letter_pairs(words: Iterable[str]) -> PairIndex:
-    """The exact (follow, lead) index of `words`, built in bulk.
-
-    The words are joined with a separator no word holds, each character is
-    mapped to a dense rank (the separator to 0) and the distinct adjacent
-    rank pairs are found with numpy, so the cost is one pass over the text
-    and the tables grow with the number of distinct letters, never with
-    their code points.  Identical letter sets are shared.
-    """
-    words = list(words)
     if not words:
-        return {}, {}
-    letters = set("".join(words))
-    sep = next(ch for ch in map(chr, count()) if ch not in letters)
-    chars = [sep, *letters]
-    ranks = {ord(ch): rank for rank, ch in enumerate(chars)}
-    text = (sep + sep.join(words) + sep).translate(ranks)
-    dense = np.frombuffer(text.encode("utf-32-le"), dtype="<u4").astype(np.int64)
-    k = len(chars)
-    ids = dense[:-1] * k + dense[1:]
-    if k * k <= len(ids):
-        ids = np.flatnonzero(np.bincount(ids, minlength=k * k))
+        return "\0", {}
+    boundary = "\0"
+    joined = boundary + boundary.join(words) + boundary
+    codes = np.frombuffer(joined.encode("utf-32-le"), "<u4")
+    if np.count_nonzero(codes == 0) > len(words) + 1:  # a word holds U+0000
+        held = np.unique(codes)
+        missing = np.flatnonzero(held != np.arange(len(held)))
+        boundary = chr(missing[0] if len(missing) else len(held))
+        joined = boundary + boundary.join(words) + boundary
+        codes = np.frombuffer(joined.encode("utf-32-le"), "<u4")
+    # as machine ints, which `np.bincount` and indexing take without a copy
+    codes = codes.astype(np.intp)
+    top = int(codes.max())
+    if top < 0x10000:
+        symbols = np.flatnonzero(np.bincount(codes))
+        rank = np.zeros(top + 1, np.intp)
+        rank[symbols] = np.arange(len(symbols))
+        dense = rank[codes]
+    else:
+        symbols, dense = np.unique(codes, return_inverse=True)
+    k = len(symbols)
+    # rank triple (left, right, middle) as one id, in 32 bits if it fits
+    dense = dense.astype(np.int32 if k**3 < 2**31 else np.int64)
+    ids = (dense[:-2] * k + dense[2:]) * k + dense[1:-1]
+    if k**3 <= len(ids):
+        ids = np.flatnonzero(np.bincount(ids, minlength=k**3))
     else:
         ids = np.unique(ids)
-    chars[0] = BOUNDARY
-    follow: dict[str, set[str]] = defaultdict(set)
-    lead: dict[str, set[str]] = defaultdict(set)
-    for pair in ids.tolist():
-        p, q = chars[pair // k], chars[pair % k]
-        follow[p].add(q)
-        if p != BOUNDARY:
-            lead[q].add(p)
-    shared: dict[Letters, Letters] = {}
+    # the triples centred on the boundary join two words and are dropped;
+    # the ids are sorted, so each (left, right) pair's middles are a run
+    b = int(np.searchsorted(symbols, ord(boundary)))
+    ids = ids[ids % k != b]
+    pairs = ids // k
+    cuts = np.flatnonzero(pairs[1:] != pairs[:-1]) + 1
+    heads = pairs[np.concatenate(([0], cuts))]
+    letters = symbols.astype("<u4")
 
-    def freeze(found: set[str]) -> Letters:
-        frozen = frozenset(found)
-        return shared.setdefault(frozen, frozen)
+    def text(ranks) -> str:
+        return letters[ranks].tobytes().decode("utf-32-le")
 
-    return (
-        {ch: freeze(found) for ch, found in follow.items()},
-        {ch: freeze(found) for ch, found in lead.items()},
-    )
+    # the runs of middles, with the boundary between each two
+    runs = text(np.insert(ids % k, cuts, b)).split(boundary)
+    keys = map(add, text(heads // k), text(heads % k))
+    return boundary, dict(zip(map(sys.intern, keys), map(sys.intern, runs)))
 
 
 def ranked(weights: Mapping[str, int] | Trie) -> list[tuple[str, int]]:
@@ -217,7 +238,7 @@ def lexicon_from_lines(lines: Iterable[str], top_k: int = 50000) -> dict[str, in
 def load_lexicon(path) -> dict[str, int]:
     """Read a word<TAB>count lexicon file; a repeated word's counts are summed.
 
-    The words come back as a plain dict: a `Trie`, with its letter-pair
+    The words come back as a plain dict: a `Trie`, with its letter-triple
     index, is built only when a pack is read."""
     weights: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:

@@ -368,7 +368,7 @@ class TestProperNounExclusion:
 
 
 class TestTypoRescue:
-    def rescue_engine(self, with_third=False, yy_tau=-2.0):
+    def rescue_engine(self, with_third=False, yy_tau=-2.0, yy_words=("kal",)):
         """Current language xx; yy holds 'kal'; optional zz holds 'ksi'."""
         model_x = model_from_probs(
             ALPHABET, 0.05, {(" ", " ", "a"): 0.5, (" ", "a", "b"): 0.5}, language="xx"
@@ -380,7 +380,7 @@ class TestTypoRescue:
         )
         packs = [
             simple_pack(model_x, tau=-2.0, lexicon_words=("ab",)),
-            simple_pack(model_y, tau=yy_tau, lexicon_words=("kal",)),
+            simple_pack(model_y, tau=yy_tau, lexicon_words=yy_words),
         ]
         languages = ["xx", "yy"]
         if with_third:
@@ -457,9 +457,10 @@ class TestTypoRescue:
     def test_a_whole_lexicon_is_searched_only_if_its_threshold_is_reachable(
         self, monkeypatch, yy_tau, path, searched
     ):
-        # every letter of "kall" is one yy's lexicon holds, so no letter
-        # limits its search; with tau 50 no edit lifts yy to its threshold
-        engine = self.rescue_engine(yy_tau=yy_tau)
+        # yy's "kal" and "alll" hold every letter triple of "kall", so no
+        # triple limits its search; with tau 50 no edit lifts yy to its
+        # threshold
+        engine = self.rescue_engine(yy_tau=yy_tau, yy_words=("kal", "alll"))
         calls = []
         search = Trie.edit1_candidates
 
@@ -473,13 +474,13 @@ class TestTypoRescue:
         assert calls == searched
 
     def test_a_language_that_cannot_pass_still_blocks(self, monkeypatch):
-        # "kaal" holds only letters both zz and yy hold; zz, first, cannot
-        # pass and is passed over until yy's "kal" clears its threshold,
-        # then searched: its "kaa" blocks the rescue
+        # zz's "kaa" and "aal" hold every letter triple of "kaal"; zz,
+        # first, cannot pass and is passed over until yy's "kal" clears its
+        # threshold, then searched: its candidates block the rescue
         engine = self.rescue_engine()
         model_z = model_from_probs(ALPHABET, 0.05, language="zz")
         xx, yy = engine.packs.values()
-        zz = simple_pack(model_z, tau=50.0, lexicon_words=("kaa", "l"))
+        zz = simple_pack(model_z, tau=50.0, lexicon_words=("kaa", "aal"))
         engine = Engine([xx, zz, yy], EngineConfig(languages=("xx", "zz", "yy")))
         searched = []
         search = Trie.edit1_candidates
@@ -495,12 +496,12 @@ class TestTypoRescue:
 
     def test_a_ruled_out_language_waits_behind_a_candidate(self, monkeypatch):
         # yy's "kal" lacks the s of "ksl", so its search is limited and made
-        # at once; zz holds every letter and cannot pass, so its whole
-        # lexicon is searched only after yy's candidate passes, which it
-        # does not
+        # at once; zz holds every letter triple of "ksl" and cannot pass,
+        # so its whole lexicon is searched only after yy's candidate
+        # passes, which it does not
         model_x = model_from_probs(ALPHABET, 0.05, language="xx")
         packs = [simple_pack(model_x, tau=-2.0, lexicon_words=("ab",))]
-        for lang, words in (("yy", ("kal",)), ("zz", ("ks", "l"))):
+        for lang, words in (("yy", ("kal",)), ("zz", ("ks", "aksl"))):
             model = model_from_probs(ALPHABET, 0.05, language=lang)
             packs.append(simple_pack(model, tau=50.0, lexicon_words=words))
         engine = Engine(packs, EngineConfig(languages=("xx", "yy", "zz")))
@@ -516,6 +517,28 @@ class TestTypoRescue:
         detection = engine.detect("ksl", engine.new_state())
         assert detection.path is DetectionPath.FALLBACK
         assert searched == [(yy_lexicon, "ksl")]
+
+    def test_a_bad_triple_is_searched_without_a_bound(self, monkeypatch):
+        # yy's "kal" and "ll" hold every letter pair of "kall" but not its
+        # triple (a, l, l): the search edits only there, so it is made at
+        # once, even though yy cannot pass, and no bound is evaluated
+        engine = self.rescue_engine(yy_tau=50.0, yy_words=("kal", "ll"))
+        bounded, searched = [], []
+        bound, search = lde.engine.edit1_gain_bound, Trie.edit1_candidates
+
+        def bound_spy(view, maxima, word):
+            bounded.append(word)
+            return bound(view, maxima, word)
+
+        def search_spy(trie, word, max_results=10):
+            searched.append(word)
+            return search(trie, word, max_results)
+
+        monkeypatch.setattr(lde.engine, "edit1_gain_bound", bound_spy)
+        monkeypatch.setattr(Trie, "edit1_candidates", search_spy)
+        detection = engine.detect("kall", engine.new_state())
+        assert detection.path is DetectionPath.FALLBACK
+        assert (bounded, searched) == ([], ["kall"])
 
     def test_in_lexicon_token_not_rescued(self):
         engine = self.rescue_engine()

@@ -1,13 +1,14 @@
 """`tools/replay_diff.py`'s comparison, on synthetic records, its refusal
-of a checkout without its own `lde`, and one replay of a checkout against
-itself."""
+of a checkout without its own `lde`, one replay of a checkout against
+itself, and its work counts."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-from tools.replay_diff import compare
+from tools.replay_diff import COUNTED, compare, count_lines, replay
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKS = {"l0.ldep": "00ab", "l1.ldep": "11cd"}
@@ -68,3 +69,48 @@ def test_a_checkout_replays_identically_to_itself():
         capture_output=True, text=True, check=False, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.startswith("cold-10 seed 3: 10 packs, 5000 calls, identical")
+
+
+def test_two_recordings_of_one_checkout_count_the_same_work():
+    first, second = (replay(ROOT, "typo-10", 3)[2] for _ in range(2))
+    assert first == second
+    assert list(first) == list(COUNTED)
+    # typo-10's trailing tokens are typos: each is searched somewhere
+    assert 0 < first["rescues"] <= first["searches with a candidate"] <= first["searches"]
+
+
+def test_a_change_that_adds_a_search_is_reported(tmp_path):
+    """A copy of the checkout whose `detect` also searches one lexicon
+    decides the same, and the table shows each added search."""
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    shutil.copytree(ROOT / "ldebench", tmp_path / "ldebench",
+                    ignore=shutil.ignore_patterns("__pycache__", "tests"))
+    with open(tmp_path / "src" / "lde" / "engine.py", "a", encoding="utf-8") as fh:
+        fh.write(
+            "\n\n_detect = Engine.detect\n\n\n"
+            "def _searching_detect(self, raw, state):\n"
+            "    self._lexicons[0].edit1_candidates('q')\n"
+            "    return _detect(self, raw, state)\n\n\n"
+            "Engine.detect = _searching_detect\n"
+        )
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "replay_diff.py"), "--parent", str(ROOT),
+         "--change", str(tmp_path), "--workload", "cold-10", "--seed", "3"],
+        capture_output=True, text=True, check=False, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "cold-10 seed 3: 10 packs, 5000 calls, identical"
+    assert lines[3].split() == ["searches", "0", "5000", "+5000"]
+    assert [row for row in lines[2:] if row.split()[-1].startswith("+")] == [lines[3]]
+
+
+def test_count_lines_mark_only_the_differing_counts():
+    parent = {"searches": 3, "rescues": 1}
+    change = {"searches": 5, "rescues": 1, "extra": 2}
+    assert count_lines(parent, change) == [
+        "work         parent     change",
+        "searches          3          5  +2",
+        "rescues           1          1",
+        "extra             0          2  +2",
+    ]

@@ -6,15 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lde.trie
 from lde.trie import (
-    BOUNDARY,
     Trie,
-    letter_pairs,
+    letter_triples,
     lexicon_from_lines,
     load_lexicon,
     load_word_list,
-    pair_probes,
     save_lexicon,
     trie_from_pairs,
     word_frequencies,
@@ -98,7 +95,7 @@ class TestEdit1Candidates:
     def test_brute_force_equivalence(self):
         rng = random.Random(31)
         letters = "abcdefg"
-        foreign_letters = "xyz"  # never in the lexicon
+        foreign_letters = "xy\0"  # never in the lexicon; U+0000 is its boundary
         seen = set()
         for trial in range(30):
             words = {
@@ -133,11 +130,12 @@ class TestEdit1Candidates:
         assert seen == {(0, True), (0, False), (1, True), (1, False), (2, False)}
 
     def test_probes_are_exactly_the_edit1_neighborhood(self):
-        """Exact up to the pair prune: every probe is one edit from the
+        """Exact up to the triple prune: every probe is one edit from the
         query, and every lexicon word one edit away is probed."""
         letters = "abc"
         neighborhoods = {}
-        for query in ("b", "ab", "cab", "x", "xa", "axb", "cabx", "xx", "axbx", "abcab"):
+        for query in ("b", "ab", "cab", "x", "xa", "axb", "cabx", "xx", "axbx", "abcab",
+                      "\0", "a\0b"):
             alphabet = sorted(set(letters) | set(query))
             neighborhoods[query] = {
                 "".join(chars)
@@ -151,28 +149,28 @@ class TestEdit1Candidates:
                 "".join(rng.choices(letters, k=rng.randint(1, 4)))
                 for _ in range(rng.randint(1, 12))
             }
-            follow, lead = letter_pairs(words)
+            trie = Trie(dict.fromkeys(words, 1))
             for query, neighborhood in neighborhoods.items():
-                probes = set(pair_probes(query, follow, lead))
+                probes = set(trie.probes(query))
                 assert probes <= neighborhood, query
                 assert words & neighborhood <= probes, query
 
     def test_search_is_pruned(self, monkeypatch):
-        # pairs: ^a ab b$ ^b bc c$ ^c ca a$ (^ and $ are the word boundary)
+        # triples, with ^ for the boundary U+0000: ^ab ab^ ^bc bc^ ^ca ca^
         trie = trie_from_pairs([("ab", 1), ("bc", 1), ("ca", 1)])
-        assert trie._pairs == (
-            {BOUNDARY: {"a", "b", "c"}, "a": {"b", BOUNDARY}, "b": {"c", BOUNDARY},
-             "c": {"a", BOUNDARY}},
-            {"a": {"c"}, "b": {"a"}, "c": {"b"}, BOUNDARY: {"a", "b", "c"}},
-        )
+        assert trie._boundary == "\0"
+        assert trie._between == {
+            "\0b": "a", "a\0": "b", "\0c": "b", "b\0": "c", "\0a": "c", "c\0": "a",
+        }
         generated = []
+        probes = Trie.probes
 
-        def probes(word, follow, lead):
-            found = pair_probes(word, follow, lead)
+        def spy(trie, word):
+            found = probes(trie, word)
             generated.append(sorted(found))
             return found
 
-        monkeypatch.setattr(lde.trie, "pair_probes", probes)
+        monkeypatch.setattr(Trie, "probes", spy)
         assert trie.edit1_candidates("ab") == [("ab", 1)]
         assert trie.edit1_candidates("ba") == [("bc", 1), ("ca", 1)]
         assert trie.edit1_candidates("cab") == [("ab", 1), ("ca", 1)]
@@ -184,30 +182,42 @@ class TestEdit1Candidates:
         assert trie.edit1_candidates("axxb") == []
         assert len(generated) == probed
         assert generated == [
-            # no bad pair: the word, both deletions, a substitution at each
-            # letter (by itself) and the insertions c+ab, ab+c; the full
-            # neighbourhood over a, b, c has 1 + 2 + 2*3 + 3*3 = 18 strings
-            ["a", "ab", "ab", "ab", "abc", "b", "cab"],
-            # bad pair (b, a): edits of b, of a, and an insertion between them
-            ["a", "b", "bc", "bca", "ca"],
-            # no bad pair, but deleting a would form the pair (c, b): no cb
-            ["ab", "bcab", "ca", "cab", "cab", "cab", "cab", "cabc"],
-            # bad pair (a, a): both deletions and c for the first a
+            # no bad triple: the word, a for the a and b for the b (each the
+            # word itself), c+ab and ab+c; no deletion, as no word is "a"
+            # or "b"; the full neighbourhood over a, b, c has 18 strings
+            ["ab", "ab", "ab", "abc", "cab"],
+            # bad triples ^ba and ba^: c for b, c for a, nothing between b
+            # and a
+            ["bc", "ca"],
+            # bad triple cab: edits of c, a and b, and insertions around a
+            ["ab", "ca", "cab", "cab"],
+            # bad triples ^aa and aab: both deletions and c for the first a
             ["ab", "ab", "cab"],
-            # a foreign letter spoils the pairs on both sides: its deletion
+            # a foreign letter spoils the three triples around it: its
+            # deletion, and no letter lies between a and b
             ["ab"],
         ]
+
+    def test_bad_triples_are_out_of_reach(self):
+        # bad triples 0 and 3 are three apart: no edit replaces both
+        trie = Trie({"abcd": 1, "bcda": 1})
+        assert trie.bad_triples("dbca") == [0, 1, 2, 3]
+        assert trie.bad_triples("xbcdx") == [0, 1, 3, 4]
+        assert trie.probes("xbcdx") == []
+        # bad triples one apart, at either end: deleting the x repairs both
+        assert trie.bad_triples("abcdx") == [3, 4]
+        assert trie.edit1_candidates("abcdx") == [("abcd", 1)]
+        assert trie.bad_triples("xbcda") == [0, 1]
+        assert trie.edit1_candidates("xbcda") == [("bcda", 1)]
 
     def test_letter_check_matches_brute_force(self, monkeypatch):
         """Queries holding 0, 1 or 2 foreign letters, a repeated one and
         non-ASCII ones, in a lexicon and in one built with a word that
         adds a letter."""
-        lexicon = {"ab": 3, "b\u00e9a": 2, "\u00e9\u00e9": 5, "aab": 1}
+        lexicon = {"ab": 3, "béa": 2, "éé": 5, "aab": 1}
         probed = []
-        probes = lde.trie.pair_probes
-        monkeypatch.setattr(
-            lde.trie, "pair_probes", lambda word, *index: probed.append(word) or probes(word, *index)
-        )
+        probes = Trie.probes
+        monkeypatch.setattr(Trie, "probes", lambda trie, word: probed.append(word) or probes(trie, word))
 
         def check(trie: Trie, query: str, foreign: str):
             before = len(probed)
@@ -222,49 +232,85 @@ class TestEdit1Candidates:
             return expected
 
         queries = (
-            "ab", "\u00e9\u00e9", "ba",  # no foreign letter
-            "axb", "x\u00e9", "\u00dfab", "b\u00e9\U0001d51e",  # one, some non-ASCII
-            "xax", "a\u00df\U0001d51e", "x\u00df",  # two distinct
-            "xx", "axxb", "\u00df\u00df",  # one letter twice
+            "ab", "éé", "ba",  # no foreign letter
+            "axb", "xé", "ßab", "bé\U0001d51e",  # one, some non-ASCII
+            "xax", "aß\U0001d51e", "xß",  # two distinct
+            "xx", "axxb", "ßß",  # one letter twice
         )
         trie = Trie(dict(lexicon))
-        hits = [q for q in queries if check(trie, q, "x\u00df\U0001d51e")]
+        hits = [q for q in queries if check(trie, q, "xß\U0001d51e")]
         assert hits == list(queries[:7])
-        # the letter table is derived with the pair index, so a lexicon
+        # the letter table is derived from the triple index, so a lexicon
         # built with a word holding x knows that letter
         lexicon["axb"] = 4
         trie = Trie(dict(lexicon))
-        assert check(trie, "axxb", "\u00df\U0001d51e") == [("axb", 4)]
-        assert check(trie, "\u00dfxb", "\u00df\U0001d51e") == [("axb", 4)]
+        assert check(trie, "axxb", "ß\U0001d51e") == [("axb", 4)]
+        assert check(trie, "ßxb", "ß\U0001d51e") == [("axb", 4)]
         for query in queries:
-            check(trie, query, "\u00df\U0001d51e")
+            check(trie, query, "ß\U0001d51e")
 
-    def test_pair_table_does_not_scale_with_code_points(self):
+    def test_triple_table_does_not_scale_with_code_points(self):
         words = ["\U0001d51e" * 3 + "b", "b\U0001d51e"]  # U+1D51E, past 1.1M
         tracemalloc.start()
         try:
-            follow, lead = letter_pairs(words)
+            index = letter_triples(words)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert follow == reference_pairs(words)[0]
-        assert lead == reference_pairs(words)[1]
+        assert index == reference_triples(words)
         assert peak < 100_000
 
 
-def reference_pairs(words):
-    """Loop reference for `letter_pairs`."""
-    follow, lead = {}, {}
+class TestTripleIndex:
+    def test_matches_the_loop_reference(self):
+        rng = random.Random(5)
+        for letters in ("ab", "abcdefg", "aéß\U0001d51e"):
+            for _ in range(20):
+                words = {
+                    "".join(rng.choices(letters, k=rng.randint(1, 7)))
+                    for _ in range(rng.randint(1, 60))
+                }
+                assert letter_triples(words) == reference_triples(words)
+                trie = Trie(dict.fromkeys(words, 1))
+                assert (trie._boundary, trie._between) == reference_triples(words)
+
+    def test_a_lexicon_holding_the_boundary_moves_it(self):
+        # U+0000 and U+0002 are letters here, so the boundary is U+0001
+        words = ["a\0b", "\0", "\2a"]
+        boundary, between = letter_triples(words)
+        assert boundary == "\1"
+        assert (boundary, between) == reference_triples(words)
+        trie = Trie(dict.fromkeys(words, 1))
+        assert trie.foreign_letters("\0\2a\1") == 1
+        for query, expected in (("ab", ["a\0b"]), ("\0\0", ["\0"]), ("a", ["\0", "\2a"]),
+                                ("\1", ["\0"]), ("a\1b", ["a\0b"]), ("\2\1", ["\2a"])):
+            assert [w for w, _ in trie.edit1_candidates(query)] == expected, query
+            assert sorted(w for w in words if levenshtein(query, w) <= 1) == expected
+
+    def test_many_letters_take_the_wide_branch(self):
+        # 1,400 letters: 1,401 symbols cubed pass 2**31, so the triple ids
+        # are 64-bit and found with np.unique instead of np.bincount
+        letters = [chr(0x4E00 + i) for i in range(1400)]
+        words = ["".join(letters[i : i + 3]) for i in range(0, 1400, 2)] + letters[-2:]
+        assert letter_triples(words) == reference_triples(words)
+        trie = Trie(dict.fromkeys(words, 1))
+        query = letters[0] + letters[5] + letters[2]
+        assert [w for w, _ in trie.edit1_candidates(query)] == [words[0]]
+
+
+def reference_triples(words):
+    """Loop reference for `letter_triples`."""
+    letters = set("".join(words))
+    boundary = next(ch for ch in map(chr, itertools.count()) if ch not in letters)
+    between = {}
     for word in words:
-        padded = (BOUNDARY, *word, BOUNDARY)
-        for p, q in zip(padded, padded[1:]):
-            follow.setdefault(p, set()).add(q)
-            if p != BOUNDARY:
-                lead.setdefault(q, set()).add(p)
-    return follow, lead
+        padded = boundary + word + boundary
+        for i in range(1, len(padded) - 1):
+            between.setdefault(padded[i - 1] + padded[i + 1], set()).add(padded[i])
+    return boundary, {key: "".join(sorted(found)) for key, found in between.items()}
 
 
-_LETTERS = "ab\u00e9\u00df\U0001d51e"  # a, b, e-acute, sharp s, and a non-BMP letter
+_LETTERS = "abéß\U0001d51e"  # a, b, e-acute, sharp s, and a non-BMP letter
 _WORDS = st.text(st.sampled_from(_LETTERS), min_size=1, max_size=6)
 
 
@@ -272,14 +318,15 @@ _WORDS = st.text(st.sampled_from(_LETTERS), min_size=1, max_size=6)
 @given(
     lexicon=st.dictionaries(_WORDS, st.integers(1, 9), min_size=1, max_size=40),
     base=_WORDS,
-    letter=st.sampled_from(_LETTERS + "x"),
+    letter=st.sampled_from(_LETTERS + "x\0"),
     where=st.sampled_from(("start", "middle", "end")),
     substitute=st.booleans(),
     inserted=st.booleans(),
 )
 def test_search_matches_brute_force(lexicon, base, letter, where, substitute, inserted):
-    """Queries edited at the start, middle or end, so their bad pairs sit
-    there, against every lexicon word within distance 1."""
+    """Queries edited at the start, middle or end, so their bad triples sit
+    there, against every lexicon word within distance 1.  The edit may put
+    in U+0000, the lexicon's boundary."""
     at = {"start": 0, "middle": len(base) // 2, "end": len(base)}[where]
     if substitute and at < len(base):
         query = base[:at] + letter + base[at + 1 :]
@@ -289,7 +336,7 @@ def test_search_matches_brute_force(lexicon, base, letter, where, substitute, in
         trie = trie_from_pairs(lexicon.items())
     else:
         trie = Trie(dict(lexicon))
-    assert trie._pairs == reference_pairs(lexicon)
+    assert (trie._boundary, trie._between) == reference_triples(lexicon)
     expected = sorted(
         ((w, wt) for w, wt in lexicon.items() if levenshtein(query, w) <= 1),
         key=lambda item: (-item[1], item[0]),

@@ -13,6 +13,17 @@ two records are compared call by call: the script prints the number of
 calls and the first `SHOW` mismatches, and exits 1 on any mismatch.
 A change meant to keep every decision and score bit-identical is
 checked this way on each workload.
+
+The subprocess also counts the work the replay does, by wrapping the
+functions detection reaches (nothing is added to lde's objects): typo
+rescue's bound evaluations (`lde.engine.edit1_gain_bound`), its edit-1
+searches (`Trie.edit1_candidates`) and those that found a candidate,
+full scoring walks (`lde.engine.context_log_probs`), one-letter
+extensions (`lde.engine.extended_log_probs`) and rescues
+(`Engine._typo_rescue` returning a detection).  The counts are exact
+for a workload and seed, and both checkouts' are printed side by side,
+each differing row marked with the change's difference; they never
+make the replays differ.
 """
 
 from __future__ import annotations
@@ -24,22 +35,43 @@ import json
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 # how many mismatched calls are printed
 SHOW = 10
+# the work counts, in the order they are printed
+COUNTED = ("bound evaluations", "searches", "searches with a candidate", "full walks",
+           "one-letter extensions", "rescue attempts", "rescues")
+
+
+def counting(counts: Counter, name: str, fn, found: str | None = None):
+    """`fn`, counting its calls under `name` and, if `found` is given, its
+    truthy results under `found`."""
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        result = fn(*args, **kwargs)
+        if found and result:
+            counts[found] += 1
+        return result
+
+    return counted
 
 
 def record(root: Path, workload: str, seed: int, out_dir: Path) -> None:
-    """Print the packs' digests as one JSON line, then one line per call:
-    the checkout at `root` generates and replays the workload.  Exits
-    non-zero if `lde` or `ldebench` is imported from anywhere else."""
+    """Print the packs' digests as one JSON line, one line per call, then
+    the work counts: the checkout at `root` generates and replays the
+    workload.  Exits non-zero if `lde` or `ldebench` is imported from
+    anywhere else."""
     sys.path[:0] = [str(root / "src"), str(root)]
     for name, home in (("lde", root / "src"), ("ldebench", root)):
         module = importlib.import_module(name)
         if not Path(module.__file__).resolve().is_relative_to(home.resolve()):
             raise SystemExit(f"{name} imported from {module.__file__}, not {home}")
+    import lde.engine
     from lde import Engine, EngineConfig, read_pack
+    from lde.trie import Trie
     from ldebench.workloads import generate
 
     work = generate(workload, seed, out_dir)
@@ -47,6 +79,15 @@ def record(root: Path, workload: str, seed: int, out_dir: Path) -> None:
                       for path in work.pack_paths}))
     engine = Engine([read_pack(path) for path in work.pack_paths],
                     EngineConfig(languages=work.languages))
+    counts = Counter(dict.fromkeys(COUNTED, 0))
+    for owner, attr, name, found in (
+        (lde.engine, "edit1_gain_bound", "bound evaluations", None),
+        (Trie, "edit1_candidates", "searches", "searches with a candidate"),
+        (lde.engine, "context_log_probs", "full walks", None),
+        (lde.engine, "extended_log_probs", "one-letter extensions", None),
+        (Engine, "_typo_rescue", "rescue attempts", "rescues"),
+    ):
+        setattr(owner, attr, counting(counts, name, getattr(owner, attr), found))
     for session in work.sessions:
         state = engine.new_state()
         for raw, _ in session:
@@ -54,11 +95,12 @@ def record(root: Path, workload: str, seed: int, out_dir: Path) -> None:
             print(json.dumps([raw, found.language, found.path.value, found.corrected,
                               {lang: score.hex() for lang, score in found.scores.items()},
                               state.contexts_scored, state.current_language]))
+    print(json.dumps(counts))
 
 
-def replay(root: Path, workload: str, seed: int) -> tuple[dict, list[list]]:
-    """The packs' digests and every call's record, from the checkout at
-    `root`."""
+def replay(root: Path, workload: str, seed: int) -> tuple[dict, list[list], dict[str, int]]:
+    """The packs' digests, every call's record and the work counts, from
+    the checkout at `root`."""
     with tempfile.TemporaryDirectory() as tmp:
         done = subprocess.run(
             [sys.executable, __file__, "--record", str(root.resolve()),
@@ -66,8 +108,8 @@ def replay(root: Path, workload: str, seed: int) -> tuple[dict, list[list]]:
             capture_output=True, text=True, check=False)
     if done.returncode:
         raise SystemExit(f"{root}: replay exited {done.returncode}\n{done.stderr[-2000:]}")
-    packs, *calls = map(json.loads, done.stdout.splitlines())
-    return packs, calls
+    packs, *calls, counts = map(json.loads, done.stdout.splitlines())
+    return packs, calls, counts
 
 
 def compare(parent: tuple[dict, list], change: tuple[dict, list], show: int = SHOW) -> list[str]:
@@ -85,6 +127,19 @@ def compare(parent: tuple[dict, list], change: tuple[dict, list], show: int = SH
     if len(differ) > show:
         problems.append(f"... {len(differ) - show} more calls differ")
     return problems
+
+
+def count_lines(parent: dict[str, int], change: dict[str, int]) -> list[str]:
+    """Both checkouts' work counts side by side, one line per count, a
+    differing one ending with the change's difference."""
+    names = [*parent, *(name for name in change if name not in parent)]
+    width = max(map(len, names))
+    lines = [f"{'work':<{width}}  {'parent':>9}  {'change':>9}"]
+    for name in names:
+        before, after = parent.get(name, 0), change.get(name, 0)
+        diff = f"  {after - before:+d}" if after != before else ""
+        lines.append(f"{name:<{width}}  {before:>9}  {after:>9}{diff}")
+    return lines
 
 
 def main() -> int:
@@ -106,10 +161,10 @@ def main() -> int:
 
     parent = replay(args.parent, args.workload, args.seed)
     change = replay(args.change, args.workload, args.seed)
-    problems = compare(parent, change)
+    problems = compare(parent[:2], change[:2])
     print(f"{args.workload} seed {args.seed}: {len(parent[0])} packs, "
           f"{len(parent[1])} calls, {'identical' if not problems else 'DIFFERENT'}")
-    for line in problems:
+    for line in [*problems, *count_lines(parent[2], change[2])]:
         print(line)
     return 1 if problems else 0
 
