@@ -20,41 +20,43 @@ are probed.  A substitution or insertion draws its letter from the
 entry of the two symbols around it, and a deletion is probed only if
 the two triples it forms are in the index.  Every triple of a lexicon
 word is in the index, so the pruning never drops a candidate.  A letter
-no word holds spoils the triples around it, and two such letters leave
-no candidate: that is checked before any probe is made, with one
+no word holds spoils the triples around it, so only its own
+substitution or deletion is probed, and two such letters leave no
+candidate: that is checked before any probe is made, with one
 `str.translate` that deletes every lexicon letter from the query.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
-from operator import add
+from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .ngram import normalize_text
 
+# left symbol -> right symbol -> the letters found between them
+TripleIndex = Mapping[str, Mapping[str, str]]
+_NO_ROW: Mapping[str, str] = MappingProxyType({})  # a left symbol no word holds
+
 
 class Trie:
     """Word -> weight lexicon, fixed once built.
 
     `Trie(weights)` adopts a dict of non-empty words as it is, and derives
-    from the words in bulk the letter-triple index and, from the index,
-    the table that deletes every lexicon letter.  No word can be added,
-    so both stay exact.
+    from the words in bulk the letter-triple index and, with it, the table
+    that deletes every lexicon letter.  No word can be added, so both stay
+    exact.
     """
 
     def __init__(self, weights: dict[str, int] | None = None):
         self._weights: dict[str, int] = {} if weights is None else weights
-        # the boundary symbol, and for each (left, right) pair of symbols,
-        # as a 2-character key, the letters between them in some word
-        self._boundary, self._between = letter_triples(self._weights)
-        # lexicon letter -> None, for `str.translate`: each letter of a
-        # word is the middle of one of its triples
-        letters = set("".join(self._between.values()))
-        self._known: dict[int, None] = str.maketrans("", "", "".join(letters))
+        # the boundary symbol, and `between[left][right]`: the letters found
+        # between the symbols `left` and `right` in some word
+        self._boundary, letters, self._between = letter_triples(self._weights)
+        # lexicon letter -> None, for `str.translate`
+        self._known: dict[int, None] = str.maketrans("", "", letters)
 
     def __contains__(self, word: str) -> bool:
         return word in self._weights
@@ -84,7 +86,7 @@ class Trie:
         padded = self._boundary + word + self._boundary
         return [
             i for i in range(len(word))
-            if padded[i + 1] not in between.get(padded[i : i + 3 : 2], "")
+            if padded[i + 1] not in between.get(padded[i], _NO_ROW).get(padded[i + 2], "")
         ]
 
     def probes(self, word: str) -> list[str]:
@@ -94,14 +96,21 @@ class Trie:
         Substituting or deleting letter i replaces triples i - 1..i + 1;
         inserting before letter g (or at the end, g = len(word)) replaces
         triples g - 1..g.  An edit is tried only if the triples it
-        replaces include every bad one.  A substitution or insertion puts
+        replaces include every bad one: for a letter no word holds, only
+        its own substitution or deletion.  A substitution or insertion puts
         in each letter the index holds between the two symbols around it,
         and a deletion is tried only if both triples it forms are in the
         index, so every lexicon word one edit from `word` is a probe.
         """
-        bad = self.bad_triples(word)
         n = len(word)
-        if bad:
+        foreign = word.translate(self._known)
+        if foreign:
+            # the letter's triples i - 1..i + 1 are bad, wherever else
+            # others are: no need to look for them
+            i = word.index(foreign[0])
+            first, last = i - 1, i + 1
+            probes = []
+        elif bad := self.bad_triples(word):
             first, last = bad[0], bad[-1]
             if last - first > 2:
                 return []
@@ -115,16 +124,18 @@ class Trie:
         for i in range(max(last - 1, 0), min(first + 1, n - 1) + 1):
             head, tail = word[:i], word[i + 1 :]
             left, right = padded[i], padded[i + 2]
-            probes += [head + ch + tail for ch in between.get(left + right, "")]
+            row = between.get(left, _NO_ROW)
+            probes += [head + ch + tail for ch in row.get(right, "")]
             # deleting letter i forms the triples centred on `left` and on
             # `right`, unless that one is the boundary
-            if (i == 0 or left in between.get(padded[i - 1] + right, "")) and (
-                i == n - 1 or right in between.get(left + padded[i + 3], "")
+            if (i == 0 or left in between.get(padded[i - 1], _NO_ROW).get(right, "")) and (
+                i == n - 1 or right in row.get(padded[i + 3], "")
             ):
                 probes.append(head + tail)
         for g in range(max(last, 0), min(first + 1, n) + 1):
             head, tail = word[:g], word[g:]
-            probes += [head + ch + tail for ch in between.get(padded[g : g + 2], "")]
+            row = between.get(padded[g], _NO_ROW)
+            probes += [head + ch + tail for ch in row.get(padded[g + 1], "")]
         return probes
 
     def edit1_candidates(self, word: str, max_results: int = 10) -> list[tuple[str, int]]:
@@ -146,20 +157,20 @@ class Trie:
         return [(w, -negative) for negative, w in ranked]
 
 
-def letter_triples(words: Collection[str]) -> tuple[str, dict[str, str]]:
-    """The boundary of `words` and their exact letter-triple index, built
-    in bulk.
+def letter_triples(words: Collection[str]) -> tuple[str, str, TripleIndex]:
+    """The boundary of `words`, their letters and their exact letter-triple
+    index, built in bulk.
 
     The boundary is U+0000, or if a word holds that, the lowest code point
     no word holds.  The words are joined with the boundary between them
     and at both ends, each code point is mapped to its dense rank, and the
     distinct (left, right, middle) rank triples are found with numpy, so
     the cost is one pass over the text and the tables grow with the number
-    of distinct letters, never with their code points.  Keys and letter
-    strings are interned, so lexicons with the same letters share them.
+    of distinct letters, never with their code points.  Equal letter
+    strings are one object.
     """
     if not words:
-        return "\0", {}
+        return "\0", "", {}
     boundary = "\0"
     joined = boundary + boundary.join(words) + boundary
     codes = np.frombuffer(joined.encode("utf-32-le"), "<u4")
@@ -201,8 +212,11 @@ def letter_triples(words: Collection[str]) -> tuple[str, dict[str, str]]:
 
     # the runs of middles, with the boundary between each two
     runs = text(np.insert(ids % k, cuts, b)).split(boundary)
-    keys = map(add, text(heads // k), text(heads % k))
-    return boundary, dict(zip(map(sys.intern, keys), map(sys.intern, runs)))
+    between: dict[str, dict[str, str]] = {}
+    shared: dict[str, str] = {}
+    for left, right, run in zip(text(heads // k), text(heads % k), runs):
+        between.setdefault(left, {})[right] = shared.setdefault(run, run)
+    return boundary, text(np.flatnonzero(symbols != ord(boundary))), between
 
 
 def ranked(weights: Mapping[str, int] | Trie) -> list[tuple[str, int]]:

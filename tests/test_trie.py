@@ -160,7 +160,8 @@ class TestEdit1Candidates:
         trie = trie_from_pairs([("ab", 1), ("bc", 1), ("ca", 1)])
         assert trie._boundary == "\0"
         assert trie._between == {
-            "\0b": "a", "a\0": "b", "\0c": "b", "b\0": "c", "\0a": "c", "c\0": "a",
+            "\0": {"b": "a", "c": "b", "a": "c"}, "a": {"\0": "b"}, "b": {"\0": "c"},
+            "c": {"\0": "a"},
         }
         generated = []
         probes = Trie.probes
@@ -202,8 +203,7 @@ class TestEdit1Candidates:
         # bad triples 0 and 3 are three apart: no edit replaces both
         trie = Trie({"abcd": 1, "bcda": 1})
         assert trie.bad_triples("dbca") == [0, 1, 2, 3]
-        assert trie.bad_triples("xbcdx") == [0, 1, 3, 4]
-        assert trie.probes("xbcdx") == []
+        assert trie.probes("dbca") == []
         # bad triples one apart, at either end: deleting the x repairs both
         assert trie.bad_triples("abcdx") == [3, 4]
         assert trie.edit1_candidates("abcdx") == [("abcd", 1)]
@@ -271,15 +271,17 @@ class TestTripleIndex:
                     for _ in range(rng.randint(1, 60))
                 }
                 assert letter_triples(words) == reference_triples(words)
+                boundary, letters, between = reference_triples(words)
                 trie = Trie(dict.fromkeys(words, 1))
-                assert (trie._boundary, trie._between) == reference_triples(words)
+                assert (trie._boundary, trie._between) == (boundary, between)
+                assert trie.foreign_letters(letters + "\0x") == 2
 
     def test_a_lexicon_holding_the_boundary_moves_it(self):
         # U+0000 and U+0002 are letters here, so the boundary is U+0001
         words = ["a\0b", "\0", "\2a"]
-        boundary, between = letter_triples(words)
-        assert boundary == "\1"
-        assert (boundary, between) == reference_triples(words)
+        index = letter_triples(words)
+        assert index[:2] == ("\1", "\0\2ab")
+        assert index == reference_triples(words)
         trie = Trie(dict.fromkeys(words, 1))
         assert trie.foreign_letters("\0\2a\1") == 1
         for query, expected in (("ab", ["a\0b"]), ("\0\0", ["\0"]), ("a", ["\0", "\2a"]),
@@ -306,8 +308,12 @@ def reference_triples(words):
     for word in words:
         padded = boundary + word + boundary
         for i in range(1, len(padded) - 1):
-            between.setdefault(padded[i - 1] + padded[i + 1], set()).add(padded[i])
-    return boundary, {key: "".join(sorted(found)) for key, found in between.items()}
+            row = between.setdefault(padded[i - 1], {})
+            row.setdefault(padded[i + 1], set()).add(padded[i])
+    return boundary, "".join(sorted(letters)), {
+        left: {right: "".join(sorted(found)) for right, found in row.items()}
+        for left, row in between.items()
+    }
 
 
 _LETTERS = "abéß\U0001d51e"  # a, b, e-acute, sharp s, and a non-BMP letter
@@ -336,7 +342,7 @@ def test_search_matches_brute_force(lexicon, base, letter, where, substitute, in
         trie = trie_from_pairs(lexicon.items())
     else:
         trie = Trie(dict(lexicon))
-    assert (trie._boundary, trie._between) == reference_triples(lexicon)
+    assert (trie._boundary, trie._between) == reference_triples(lexicon)[::2]
     expected = sorted(
         ((w, wt) for w, wt in lexicon.items() if levenshtein(query, w) <= 1),
         key=lambda item: (-item[1], item[0]),
