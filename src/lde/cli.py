@@ -371,6 +371,13 @@ def cmd_bench(args) -> int:
 #  parser
 # --------------------------------------------------------------------- #
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _engine_options(p, langs_required: bool = False) -> None:
     """The `--langs` and `--r` that `_load_engine` reads."""
     default = "required" if langs_required else "default: every pack, by file name"
@@ -430,7 +437,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="measure per-detect latency")
     p.add_argument("--packs", required=True)
     p.add_argument("--contexts", required=True, help="one context per line")
-    p.add_argument("--iters", type=int, default=10000)
+    p.add_argument("--iters", type=_positive_int, default=10000, help="timed detects (>= 1)")
     _engine_options(p)
     p.set_defaults(func=cmd_bench)
 

@@ -20,13 +20,13 @@ its last word, so each pack keeps its head and adds one trigram term to
 its last (`ngram.extended_log_probs`) instead of walking the context
 again.  On top of that sit a session LRU cache keyed by the context that
 is scored, and typo rescue for out-of-lexicon tokens one edit away from
-a word in a non-current language.  A token with a letter triple that
-no word of a lexicon holds is searched there at once, since the search
-only edits next to that triple.  A rescue searches a whole lexicon only
-for a language that the correction can lift to its threshold, by an
-exact upper bound on what one edit can gain a word
-(`ngram.edit1_gain_bound`); the languages it rules out are searched only
-to find a candidate that blocks a passing rescue.  It scores the
+a word in a non-current language.  Each lexicon's `Trie.edit_span` says
+once where an edit of the token must fall: nowhere (skipped), in a span
+(searched at once) or anywhere, a whole-lexicon search made only for a
+language that the correction can lift to its threshold, by an exact
+upper bound on what one edit can gain a word (`ngram.edit1_gain_bound`);
+the languages it rules out are searched only to find a candidate that
+blocks a passing rescue.  It scores the
 corrected context with the heads just kept and a walk of the corrected
 word alone: first in the rescued language's table, since only that
 score decides it, and in every pack's only for a rescue that passes.
@@ -58,6 +58,7 @@ from .ngram import (
 )
 from .pack import LanguagePack
 from .selector import LOG_HALF, select_language
+from .trie import ANYWHERE
 
 
 def _strip_class(ch: str):
@@ -374,10 +375,10 @@ class Engine:
         one non-current language offers an edit-distance-1 candidate whose
         corrected context clears that language's threshold.  The
         non-current languages are taken in registration order under one
-        rule.  A lexicon whose words lack two of the token's letters
-        offers none and is skipped.  A lexicon in which the token has a
-        bad triple (`Trie.bad_triples`) is searched at once, since the
-        search only edits next to it.  A search with no bad triple covers
+        rule, read from each lexicon's `Trie.edit_span` of the token.  A
+        lexicon where no edit can give a word is skipped.  One where the
+        edit must fall in a span is searched at once, since the search
+        edits only there.  Where it may fall anywhere, the search covers
         the whole lexicon, so it is deferred for a language the correction
         cannot lift to the threshold.  The last word weighs 1, so a
         correction `w` of it scores `scores[lang] + (lp(w) - lp(last)) /
@@ -409,16 +410,15 @@ class Engine:
         for i, (lang, _) in enumerate(self._taus):
             if lang == current:
                 continue
-            foreign = lexicons[i].foreign_letters(last)
-            if foreign > 1:
+            span = lexicons[i].edit_span(last)
+            if span is None:
                 continue
-            # a letter no word holds makes a bad triple
-            if not foreign and not lexicons[i].bad_triples(last):
+            if span is ANYWHERE:
                 gain = edit1_gain_bound(self._views[i], self._maxima[i], last)
                 if scores[lang] + gain / mass < reach:
                     deferred.append(i)
                     continue
-            found = lexicons[i].edit1_candidates(last, max_results=1)
+            found = lexicons[i].edit1_candidates(last, max_results=1, span=span)
             if found:
                 if rescue is not None:
                     return None
@@ -432,7 +432,7 @@ class Engine:
         (lp,) = context_log_probs((self._views[i],), (word,), (1.0,))[1]
         if (heads[i] + lp) / mass - tau < LOG_HALF:
             return None
-        if any(lexicons[j].edit1_candidates(last, max_results=1) for j in deferred):
+        if any(lexicons[j].edit1_candidates(last, max_results=1, span=ANYWHERE) for j in deferred):
             return None
         lasts = context_log_probs(self._views, (word,), (1.0,))[1]
         rescored = self._scores(heads, lasts, mass)

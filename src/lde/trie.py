@@ -8,26 +8,24 @@ corrector, and looked up in that dict.
 
 Only probes that could be words are generated.  A lexicon is fixed once
 built, and derives when built an exact letter-triple index: for each
-(left, right) pair of symbols, the string of letters found between them
-in some word.  A symbol is a letter or the lexicon's boundary, a code
-point no word holds that stands before a word's first letter and after
-its last.  The triple at letter i of a query is bad when that letter is
-not in the entry of its two neighbours.  An edit of letter i replaces
-triples i - 1..i + 1 and an insertion before letter g replaces triples
-g - 1..g, so bad triples more than two positions apart leave no
-candidate, and otherwise only the edits that replace every bad triple
-are probed.  A substitution or insertion draws its letter from the
-entry of the two symbols around it, and a deletion is probed only if
-the two triples it forms are in the index.  Every triple of a lexicon
-word is in the index, so the pruning never drops a candidate.  A letter
-no word holds spoils the triples around it, so only its own
-substitution or deletion is probed, and two such letters leave no
-candidate: that is checked before any probe is made, with one
-`str.translate` that deletes every lexicon letter from the query.
+(left, right) pair of symbols, the letters found between them in some
+word.  A symbol is a letter or the lexicon's boundary, a code point no
+word holds that stands before a word's first letter and after its last.
+The triple at letter i of a query is bad when that letter is not in the
+entry of its two neighbours.  An edit of letter i replaces triples
+i - 1..i + 1 and an insertion before letter g triples g - 1..g, and every
+triple of a lexicon word is in the index, so an edit that gives a word
+replaces every bad triple.  One scan, `Trie.edit_span`, says where it
+must fall: nowhere, anywhere, or over a span.  Typo rescue reads it to
+choose how to search, and `probes` tries only the edits that cover it,
+drawing a substituted or inserted letter from the entry of the two
+symbols around it and trying a deletion only if both triples it forms
+are in the index, so the pruning never drops a candidate.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping
@@ -39,6 +37,8 @@ from .ngram import normalize_text
 # left symbol -> right symbol -> the letters found between them
 TripleIndex = Mapping[str, Mapping[str, str]]
 _NO_ROW: Mapping[str, str] = MappingProxyType({})  # a left symbol no word holds
+# `Trie.edit_span` of a word with no bad triple: an empty span, which any edit covers
+ANYWHERE = (sys.maxsize, -1)
 
 
 class Trie:
@@ -71,53 +71,47 @@ class Trie:
         """All (word, weight) pairs in lexicographic order."""
         return iter(sorted(self._weights.items()))
 
-    def foreign_letters(self, word: str) -> int:
-        """How many letters of `word` no lexicon word holds, each repeat
-        counted: with two or more, no word is one edit away, and with one,
-        an edit-1 search only edits that letter."""
-        return len(word.translate(self._known))
+    def edit_span(self, word: str) -> tuple[int, int] | None:
+        """Where one edit of `word` must fall to give a lexicon word.
 
-    def bad_triples(self, word: str) -> list[int]:
-        """The positions i, in increasing order, at which letter i of
-        `word` is found between its two neighbours in no word, the
-        boundary standing in for a missing neighbour.  With none, an
-        edit-1 search may edit anywhere; with some, only next to them."""
+        None if nowhere: `word` holds two letters no word holds (one
+        `str.translate` deletes every lexicon letter), or bad triples more
+        than two positions apart.  `ANYWHERE` with no bad triple.  Else the
+        first and last triple the edit must replace: the first and last
+        bad one, or for a letter i no word holds, without a scan,
+        i - 1 and i + 1, which only its own substitution or deletion
+        replaces.  The boundary stands in for a missing neighbour.
+        """
+        if foreign := word.translate(self._known):
+            i = word.index(foreign[0])
+            return None if len(foreign) > 1 else (i - 1, i + 1)
         between = self._between
         padded = self._boundary + word + self._boundary
-        return [
+        bad = [
             i for i in range(len(word))
             if padded[i + 1] not in between.get(padded[i], _NO_ROW).get(padded[i + 2], "")
         ]
+        if not bad:
+            return ANYWHERE
+        return (bad[0], bad[-1]) if bad[-1] - bad[0] <= 2 else None
 
-    def probes(self, word: str) -> list[str]:
+    def probes(self, word: str, span: tuple[int, int] | None = None) -> list[str]:
         """The strings one edit from `word` (itself included, repeats
         allowed) that the letter-triple index does not rule out.
 
         Substituting or deleting letter i replaces triples i - 1..i + 1;
         inserting before letter g (or at the end, g = len(word)) replaces
-        triples g - 1..g.  An edit is tried only if the triples it
-        replaces include every bad one: for a letter no word holds, only
-        its own substitution or deletion.  A substitution or insertion puts
-        in each letter the index holds between the two symbols around it,
-        and a deletion is tried only if both triples it forms are in the
-        index, so every lexicon word one edit from `word` is a probe.
+        triples g - 1..g.  An edit is tried only if the triples it replaces
+        cover `span`, `edit_span(word)` (found here if not given).  A
+        substitution or insertion puts in each letter the index holds
+        between the two symbols around it, and a deletion is tried only if
+        both triples it forms are in the index, so every lexicon word one
+        edit from `word` is a probe.
         """
-        n = len(word)
-        foreign = word.translate(self._known)
-        if foreign:
-            # the letter's triples i - 1..i + 1 are bad, wherever else
-            # others are: no need to look for them
-            i = word.index(foreign[0])
-            first, last = i - 1, i + 1
-            probes = []
-        elif bad := self.bad_triples(word):
-            first, last = bad[0], bad[-1]
-            if last - first > 2:
-                return []
-            probes = []
-        else:
-            first, last = n, -1
-            probes = [word]
+        if span is None and (span := self.edit_span(word)) is None:
+            return []
+        (first, last), n = span, len(word)
+        probes = [word] if span is ANYWHERE else []
         between = self._between
         # letter i is padded[i + 1], between padded[i] and padded[i + 2]
         padded = self._boundary + word + self._boundary
@@ -138,21 +132,20 @@ class Trie:
             probes += [head + ch + tail for ch in row.get(padded[g + 1], "")]
         return probes
 
-    def edit1_candidates(self, word: str, max_results: int = 10) -> list[tuple[str, int]]:
+    def edit1_candidates(
+        self, word: str, max_results: int = 10, span: tuple[int, int] | None = None
+    ) -> list[tuple[str, int]]:
         """Words in the lexicon within Levenshtein distance 1 of `word`.
 
         Distance 0 (the word itself) counts.  Results are ordered by
         descending weight, then lexicographically, and truncated to
-        `max_results`.  A query holding two letters no word holds has no
-        candidate and makes no probe; otherwise only the strings `probes`
-        generates are looked up.
+        `max_results`.  Only the strings `probes` generates from `span`,
+        `edit_span(word)` if the caller has found it, are looked up.
         """
         if not word:
             raise ValueError("empty word")
-        if self.foreign_letters(word) > 1:
-            return []
         weights = self._weights
-        hits = weights.keys() & self.probes(word)
+        hits = weights.keys() & self.probes(word, span)
         ranked = sorted((-weights[w], w) for w in hits)[:max_results]
         return [(w, -negative) for negative, w in ranked]
 

@@ -380,6 +380,16 @@ class TestBench:
         assert sum(path["count"] for path in paths.values()) == 300
         assert all(path["p50_us"] <= path["p99_us"] for path in paths.values())
 
+    @pytest.mark.parametrize("iters", ["0", "-5"])
+    def test_iters_below_one_is_a_usage_error(self, workspace, capsys, tmp_path, iters):
+        contexts = tmp_path / "contexts.txt"
+        contexts.write_text(workspace["langs"][0].vocabulary[0] + "\n", encoding="utf-8")
+        assert main([
+            "bench", "--packs", str(workspace["packs"]),
+            "--contexts", str(contexts), "--iters", iters,
+        ]) == 1
+        assert f"argument --iters: must be at least 1, got {iters}" in capsys.readouterr().err
+
     def test_percentile_is_nearest_rank(self):
         values = [float(v) for v in range(1, 101)]
         # of 100 samples, p99 is the 99th, not the largest, and p50 the 50th

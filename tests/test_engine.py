@@ -440,9 +440,9 @@ class TestTypoRescue:
         searched = []
         search = Trie.edit1_candidates
 
-        def spy(trie, word, max_results=10):
+        def spy(trie, word, *args, **kwargs):
             searched.append(word)
-            return search(trie, word, max_results)
+            return search(trie, word, *args, **kwargs)
 
         monkeypatch.setattr(Trie, "edit1_candidates", spy)
         # yy and zz both offer a candidate, so ww is never searched
@@ -464,9 +464,9 @@ class TestTypoRescue:
         calls = []
         search = Trie.edit1_candidates
 
-        def spy(trie, word, max_results=10):
+        def spy(trie, word, *args, **kwargs):
             calls.append(word)
-            return search(trie, word, max_results)
+            return search(trie, word, *args, **kwargs)
 
         monkeypatch.setattr(Trie, "edit1_candidates", spy)
         detection = engine.detect("kall", engine.new_state())
@@ -485,9 +485,9 @@ class TestTypoRescue:
         searched = []
         search = Trie.edit1_candidates
 
-        def spy(trie, word, max_results=10):
+        def spy(trie, word, *args, **kwargs):
             searched.append((trie, word))
-            return search(trie, word, max_results)
+            return search(trie, word, *args, **kwargs)
 
         monkeypatch.setattr(Trie, "edit1_candidates", spy)
         detection = engine.detect("kaal", engine.new_state())
@@ -509,19 +509,25 @@ class TestTypoRescue:
         searched = []
         search = Trie.edit1_candidates
 
-        def spy(trie, word, max_results=10):
+        def spy(trie, word, *args, **kwargs):
             searched.append((trie, word))
-            return search(trie, word, max_results)
+            return search(trie, word, *args, **kwargs)
 
         monkeypatch.setattr(Trie, "edit1_candidates", spy)
         detection = engine.detect("ksl", engine.new_state())
         assert detection.path is DetectionPath.FALLBACK
         assert searched == [(yy_lexicon, "ksl")]
 
-    def test_a_bad_triple_is_searched_without_a_bound(self, monkeypatch):
+    @pytest.mark.parametrize("token, expected", [
         # yy's "kal" and "ll" hold every letter pair of "kall" but not its
         # triple (a, l, l): the search edits only there, so it is made at
         # once, even though yy cannot pass, and no bound is evaluated
+        ("kall", ["kall"]),
+        # "akall" also has bad triples at its first two letters, three
+        # letters from (a, l, l): no one edit gives a word, so yy is skipped
+        ("akall", []),
+    ], ids=["near", "apart"])
+    def test_a_bad_triple_is_searched_without_a_bound(self, monkeypatch, token, expected):
         engine = self.rescue_engine(yy_tau=50.0, yy_words=("kal", "ll"))
         bounded, searched = [], []
         bound, search = lde.engine.edit1_gain_bound, Trie.edit1_candidates
@@ -530,15 +536,15 @@ class TestTypoRescue:
             bounded.append(word)
             return bound(view, maxima, word)
 
-        def search_spy(trie, word, max_results=10):
+        def search_spy(trie, word, *args, **kwargs):
             searched.append(word)
-            return search(trie, word, max_results)
+            return search(trie, word, *args, **kwargs)
 
         monkeypatch.setattr(lde.engine, "edit1_gain_bound", bound_spy)
         monkeypatch.setattr(Trie, "edit1_candidates", search_spy)
-        detection = engine.detect("kall", engine.new_state())
+        detection = engine.detect(token, engine.new_state())
         assert detection.path is DetectionPath.FALLBACK
-        assert (bounded, searched) == ([], ["kall"])
+        assert (bounded, searched) == ([], expected)
 
     def test_in_lexicon_token_not_rescued(self):
         engine = self.rescue_engine()

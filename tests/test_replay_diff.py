@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from tools.replay_diff import COUNTED, compare, count_lines, replay
+from collections import Counter
+
+from lde import LruCache
+from tools.replay_diff import COUNTED, compare, count_lines, counting, each_call, replay
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKS = {"l0.ldep": "00ab", "l1.ldep": "11cd"}
@@ -75,13 +78,18 @@ def test_two_recordings_of_one_checkout_count_the_same_work():
     first, second = (replay(ROOT, "typo-10", 3)[2] for _ in range(2))
     assert first == second
     assert list(first) == list(COUNTED)
-    # typo-10's trailing tokens are typos: each is searched somewhere
+    # typo-10's trailing tokens are typos: each is searched somewhere, and
+    # a search finds a candidate only among the probes it makes
     assert 0 < first["rescues"] <= first["searches with a candidate"] <= first["searches"]
+    assert first["searches with a candidate"] <= first["probes made"]
+    # every session of typo-10 is one call, so nothing is looked up twice
+    assert first["cache hits"] == 0
 
 
 def test_a_change_that_adds_a_search_is_reported(tmp_path):
     """A copy of the checkout whose `detect` also searches one lexicon
-    decides the same, and the table shows each added search."""
+    decides the same, and the table shows each added search and the
+    probes it makes."""
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     shutil.copytree(ROOT / "ldebench", tmp_path / "ldebench",
@@ -102,7 +110,21 @@ def test_a_change_that_adds_a_search_is_reported(tmp_path):
     lines = done.stdout.splitlines()
     assert lines[0] == "cold-10 seed 3: 10 packs, 5000 calls, identical"
     assert lines[3].split() == ["searches", "0", "5000", "+5000"]
-    assert [row for row in lines[2:] if row.split()[-1].startswith("+")] == [lines[3]]
+    probes = lines[5].split()
+    assert probes[:3] == ["probes", "made", "0"]
+    assert int(probes[3]) > 0 and int(probes[3]) % 5000 == 0 and probes[4] == f"+{probes[3]}"
+    assert [row for row in lines[2:] if row.split()[-1].startswith("+")] == [lines[3], lines[5]]
+
+
+def test_tallies_count_calls_truthy_results_and_lengths():
+    counts = Counter()
+    cache = LruCache(4)
+    cache.put("ab", ("entry",))
+    get = counting(counts, cache.get, {"lookups": each_call, "cache hits": bool})
+    probes = counting(counts, lambda word: [word] * len(word), {"probes made": len})
+    assert [get("ab"), get("x"), get("ab")] == [("entry",), None, ("entry",)]
+    assert probes("abc") == ["abc"] * 3 and probes("") == []
+    assert counts == {"lookups": 3, "cache hits": 2, "probes made": 3}
 
 
 def test_count_lines_mark_only_the_differing_counts():

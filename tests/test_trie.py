@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lde.trie import (
+    ANYWHERE,
     Trie,
     letter_triples,
     lexicon_from_lines,
@@ -166,8 +167,8 @@ class TestEdit1Candidates:
         generated = []
         probes = Trie.probes
 
-        def spy(trie, word):
-            found = probes(trie, word)
+        def spy(trie, word, span=None):
+            found = probes(trie, word, span)
             generated.append(sorted(found))
             return found
 
@@ -177,11 +178,10 @@ class TestEdit1Candidates:
         assert trie.edit1_candidates("cab") == [("ab", 1), ("ca", 1)]
         assert trie.edit1_candidates("aab") == [("ab", 1)]
         assert trie.edit1_candidates("axb") == [("ab", 1)]
-        probed = len(generated)
-        # two foreign letters: rejected by the letter check, before any probe
+        # two foreign letters: no edit gives a word, and no probe is made
+        assert trie.edit_span("xax") is trie.edit_span("axxb") is None
         assert trie.edit1_candidates("xax") == []
         assert trie.edit1_candidates("axxb") == []
-        assert len(generated) == probed
         assert generated == [
             # no bad triple: the word, a for the a and b for the b (each the
             # word itself), c+ab and ab+c; no deletion, as no word is "a"
@@ -197,18 +197,26 @@ class TestEdit1Candidates:
             # a foreign letter spoils the three triples around it: its
             # deletion, and no letter lies between a and b
             ["ab"],
+            [],
+            [],
         ]
 
     def test_bad_triples_are_out_of_reach(self):
         # bad triples 0 and 3 are three apart: no edit replaces both
         trie = Trie({"abcd": 1, "bcda": 1})
-        assert trie.bad_triples("dbca") == [0, 1, 2, 3]
+        assert trie.edit_span("dbca") is None
         assert trie.probes("dbca") == []
         # bad triples one apart, at either end: deleting the x repairs both
-        assert trie.bad_triples("abcdx") == [3, 4]
+        assert trie.edit_span("abcdb") == (3, 4)
+        assert trie.edit1_candidates("abcdb") == [("abcd", 1)]
+        assert trie.edit_span("bbcda") == (0, 1)
+        assert trie.edit1_candidates("bbcda") == [("bcda", 1)]
+        # a letter no word holds: the three triples around it
+        assert trie.edit_span("abcdx") == (3, 5)
         assert trie.edit1_candidates("abcdx") == [("abcd", 1)]
-        assert trie.bad_triples("xbcda") == [0, 1]
+        assert trie.edit_span("xbcda") == (-1, 1)
         assert trie.edit1_candidates("xbcda") == [("bcda", 1)]
+        assert trie.edit_span("abcd") is ANYWHERE
 
     def test_letter_check_matches_brute_force(self, monkeypatch):
         """Queries holding 0, 1 or 2 foreign letters, a repeated one and
@@ -217,7 +225,13 @@ class TestEdit1Candidates:
         lexicon = {"ab": 3, "béa": 2, "éé": 5, "aab": 1}
         probed = []
         probes = Trie.probes
-        monkeypatch.setattr(Trie, "probes", lambda trie, word: probed.append(word) or probes(trie, word))
+
+        def spy(trie, word, span=None):
+            found = probes(trie, word, span)
+            probed.extend(found)
+            return found
+
+        monkeypatch.setattr(Trie, "probes", spy)
 
         def check(trie: Trie, query: str, foreign: str):
             before = len(probed)
@@ -228,7 +242,9 @@ class TestEdit1Candidates:
             assert trie.edit1_candidates(query, max_results=len(lexicon)) == expected, query
             assert trie.edit1_candidates(query, max_results=1) == expected[:1], query
             held = sum(ch in foreign for ch in query)
-            assert (len(probed) == before) == (held > 1), query
+            assert (trie.edit_span(query) is None) == (held > 1), query
+            if held > 1:
+                assert len(probed) == before, query
             return expected
 
         queries = (
@@ -274,7 +290,8 @@ class TestTripleIndex:
                 boundary, letters, between = reference_triples(words)
                 trie = Trie(dict.fromkeys(words, 1))
                 assert (trie._boundary, trie._between) == (boundary, between)
-                assert trie.foreign_letters(letters + "\0x") == 2
+                assert trie.edit_span(letters + "\0x") is None
+                assert trie.edit_span(letters + "x") == (len(letters) - 1, len(letters) + 1)
 
     def test_a_lexicon_holding_the_boundary_moves_it(self):
         # U+0000 and U+0002 are letters here, so the boundary is U+0001
@@ -283,7 +300,7 @@ class TestTripleIndex:
         assert index[:2] == ("\1", "\0\2ab")
         assert index == reference_triples(words)
         trie = Trie(dict.fromkeys(words, 1))
-        assert trie.foreign_letters("\0\2a\1") == 1
+        assert trie.edit_span("\0\2a\1") == (2, 4)
         for query, expected in (("ab", ["a\0b"]), ("\0\0", ["\0"]), ("a", ["\0", "\2a"]),
                                 ("\1", ["\0"]), ("a\1b", ["a\0b"]), ("\2\1", ["\2a"])):
             assert [w for w, _ in trie.edit1_candidates(query)] == expected, query
@@ -349,6 +366,8 @@ def test_search_matches_brute_force(lexicon, base, letter, where, substitute, in
     )
     assert trie.edit1_candidates(query, max_results=len(lexicon)) == expected
     assert trie.edit1_candidates(query, max_results=1) == expected[:1]
+    if trie.edit_span(query) is None:
+        assert expected == []
 
 
 class TestLexiconFiles:

@@ -18,9 +18,11 @@ The subprocess also counts the work the replay does, by wrapping the
 functions detection reaches (nothing is added to lde's objects): typo
 rescue's bound evaluations (`lde.engine.edit1_gain_bound`), its edit-1
 searches (`Trie.edit1_candidates`) and those that found a candidate,
-full scoring walks (`lde.engine.context_log_probs`), one-letter
-extensions (`lde.engine.extended_log_probs`) and rescues
-(`Engine._typo_rescue` returning a detection).  The counts are exact
+the probes they made (the strings `Trie.probes` returned), full scoring
+walks (`lde.engine.context_log_probs`), one-letter extensions
+(`lde.engine.extended_log_probs`), cache hits (`LruCache.get` returning
+an entry) and rescues (`Engine._typo_rescue` returning a detection).
+The counts are exact
 for a workload and seed, and both checkouts' are printed side by side,
 each differing row marked with the change's difference; they never
 make the replays differ.
@@ -41,19 +43,23 @@ from pathlib import Path
 # how many mismatched calls are printed
 SHOW = 10
 # the work counts, in the order they are printed
-COUNTED = ("bound evaluations", "searches", "searches with a candidate", "full walks",
-           "one-letter extensions", "rescue attempts", "rescues")
+COUNTED = ("bound evaluations", "searches", "searches with a candidate", "probes made",
+           "full walks", "one-letter extensions", "cache hits", "rescue attempts", "rescues")
 
 
-def counting(counts: Counter, name: str, fn, found: str | None = None):
-    """`fn`, counting its calls under `name` and, if `found` is given, its
-    truthy results under `found`."""
+def each_call(result) -> int:
+    """A tally of calls, whatever they return."""
+    return 1
+
+
+def counting(counts: Counter, fn, tallies: dict):
+    """`fn`, adding `weigh(result)` to the count `name` on each call, for
+    every `name: weigh` of `tallies`."""
 
     def counted(*args, **kwargs):
-        counts[name] += 1
         result = fn(*args, **kwargs)
-        if found and result:
-            counts[found] += 1
+        for name, weigh in tallies.items():
+            counts[name] += weigh(result)
         return result
 
     return counted
@@ -70,7 +76,7 @@ def record(root: Path, workload: str, seed: int, out_dir: Path) -> None:
         if not Path(module.__file__).resolve().is_relative_to(home.resolve()):
             raise SystemExit(f"{name} imported from {module.__file__}, not {home}")
     import lde.engine
-    from lde import Engine, EngineConfig, read_pack
+    from lde import Engine, EngineConfig, LruCache, read_pack
     from lde.trie import Trie
     from ldebench.workloads import generate
 
@@ -80,14 +86,16 @@ def record(root: Path, workload: str, seed: int, out_dir: Path) -> None:
     engine = Engine([read_pack(path) for path in work.pack_paths],
                     EngineConfig(languages=work.languages))
     counts = Counter(dict.fromkeys(COUNTED, 0))
-    for owner, attr, name, found in (
-        (lde.engine, "edit1_gain_bound", "bound evaluations", None),
-        (Trie, "edit1_candidates", "searches", "searches with a candidate"),
-        (lde.engine, "context_log_probs", "full walks", None),
-        (lde.engine, "extended_log_probs", "one-letter extensions", None),
-        (Engine, "_typo_rescue", "rescue attempts", "rescues"),
+    for owner, attr, tallies in (
+        (lde.engine, "edit1_gain_bound", {"bound evaluations": each_call}),
+        (Trie, "edit1_candidates", {"searches": each_call, "searches with a candidate": bool}),
+        (Trie, "probes", {"probes made": len}),
+        (lde.engine, "context_log_probs", {"full walks": each_call}),
+        (lde.engine, "extended_log_probs", {"one-letter extensions": each_call}),
+        (LruCache, "get", {"cache hits": bool}),
+        (Engine, "_typo_rescue", {"rescue attempts": each_call, "rescues": bool}),
     ):
-        setattr(owner, attr, counting(counts, name, getattr(owner, attr), found))
+        setattr(owner, attr, counting(counts, getattr(owner, attr), tallies))
     for session in work.sessions:
         state = engine.new_state()
         for raw, _ in session:
