@@ -54,7 +54,7 @@ from .ngram import (
     edit1_gain_bound,
     extended_log_probs,
     normalize_text,
-    scoring_view,
+    scoring_views,
 )
 from .pack import LanguagePack
 from .selector import LOG_HALF, select_language
@@ -249,7 +249,7 @@ class Engine:
         }
         self.proper_nouns = frozenset().union(*(p.proper_nouns for p in self.packs.values()))
         # what score_context reads per pack, in registration order
-        self._views = tuple(scoring_view(pack.model) for pack in self.packs.values())
+        self._views = scoring_views([pack.model for pack in self.packs.values()])
         self._taus = tuple((lang, pack.tau) for lang, pack in self.packs.items())
         self._maxima = tuple(pack.maxima for pack in self.packs.values())
         self._lexicons = tuple(pack.lexicon for pack in self.packs.values())

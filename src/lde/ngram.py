@@ -20,7 +20,8 @@ import math
 import unicodedata
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import count
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -155,7 +156,7 @@ class TrigramModel:
         """Log-probability of one word, first character conditioned on space."""
         if not word:
             raise ValueError("empty token")
-        return context_log_probs((scoring_view(self),), (word,), (1.0,))[1][0]
+        return context_log_probs(scoring_views((self,)), (word,), (1.0,))[1][0]
 
     def sequence_log_prob(self, words: Sequence[str], r: float = DEFAULT_RECENCY) -> float:
         """Recency-weighted sum of word log-probabilities.
@@ -169,21 +170,44 @@ class TrigramModel:
             raise ValueError(f"recency factor must be in (0, 1], got {r}")
         n = len(words)
         weights = [r ** (n - 1 - k) for k in range(n)]
-        (head,), (last,) = context_log_probs((scoring_view(self),), words, weights)
+        (head,), (last,) = context_log_probs(scoring_views((self,)), words, weights)
         return head + last
 
 
-# what `context_log_probs` reads of one model: (table, side, symbol lookup)
-ScoringView = tuple[list[float], int, Callable[[str, int], int]]
+# what `context_log_probs` reads of one model: (table, side, letter index,
+# stand-in).  The index maps every letter of the engine's alphabets, and the
+# stand-in, a code point in none of them, to the model's symbol index; a
+# letter outside its own alphabet maps to its oov slot.
+ScoringView = tuple[list[float], int, dict[str, int], str]
 
 
-def scoring_view(model: TrigramModel) -> ScoringView:
-    """The table, its side (`alphabet.size`) and the symbol lookup of a model.
+def scoring_views(models: Sequence[TrigramModel]) -> tuple[ScoringView, ...]:
+    """One view per model, each with an exact letter index over the union
+    of the models' alphabets.
 
-    Taken once per model, so that scoring a context reads them from a
-    tuple instead of through attributes and method calls.
+    The index is a plain dict, so a walk reads a letter with one subscript.
+    It also holds the stand-in, the lowest code point in no alphabet (not a
+    fixed `"\\0"`, which an alphabet may hold), at the oov slot: a walk
+    that meets a letter in no alphabet maps it to the stand-in and walks
+    again.  Taken once per engine, so that scoring a context reads the
+    table, its side (`alphabet.size`) and the index from a tuple.
     """
-    return model.table, model.alphabet.size, model.alphabet._index.get
+    letters = sorted({ch for model in models for ch in model.alphabet.symbols})
+    stand_in = next(chr(c) for c in count() if chr(c) not in letters)
+    views = []
+    for model in models:
+        alphabet = model.alphabet
+        index = dict.fromkeys([*letters, stand_in], alphabet.oov)
+        index.update((ch, i) for i, ch in enumerate(alphabet.symbols))
+        views.append((model.table, alphabet.size, index, stand_in))
+    return tuple(views)
+
+
+def _known(view: ScoringView, word: str) -> str:
+    """`word` with every letter the view's index lacks, which is in no
+    alphabet and so read as oov by every model, replaced by its stand-in."""
+    _, _, index, stand_in = view
+    return "".join(ch if ch in index else stand_in for ch in word)
 
 
 def context_log_probs(
@@ -200,27 +224,34 @@ def context_log_probs(
     `sequence_log_prob` call it for one model, and detection for every
     pack at once, with no call per pack or per word.  The weights are not
     checked against `words` or against r's range.
+
+    The flat index of a letter's trigram is that of the one before it,
+    less its oldest symbol (modulo v * v), shifted by one symbol (times v)
+    plus the letter's.  A letter the views' index lacks raises `KeyError`;
+    the walk then replaces every such letter with the stand-in and starts
+    again, so the common path checks nothing.
     """
     if not words or "" in words:
         raise ValueError("empty sequence or token")
     weighted = tuple(zip(weights, words))
     heads = []
     lasts = []
-    for table, v, get in views:
-        oov = v - 1
-        total = 0.0
-        for weight, word in weighted:
-            head = total
-            word_total = 0.0
-            prev2 = prev1 = 0
-            for ch in word:
-                cur = get(ch, oov)
-                word_total += table[(prev2 * v + prev1) * v + cur]
-                prev2 = prev1
-                prev1 = cur
-            total += weight * word_total
-        heads.append(head)
-        lasts.append(word_total)
+    try:
+        for table, v, index, _ in views:
+            vv = v * v
+            total = 0.0
+            for weight, word in weighted:
+                head = total
+                word_total = 0.0
+                idx = 0  # (space, space): a word's first letter follows a space
+                for ch in word:
+                    idx = idx % vv * v + index[ch]
+                    word_total += table[idx]
+                total += weight * word_total
+            heads.append(head)
+            lasts.append(word_total)
+    except KeyError:
+        return context_log_probs(views, [_known(views[0], word) for word in words], weights)
     return heads, lasts
 
 
@@ -237,10 +268,13 @@ def extended_log_probs(
     # the last letter and the two before it; a word's first letter follows
     # a space, which every alphabet holds at index 0
     prev2, prev1, ch = (WHITESPACE + word)[-3:]
-    return [
-        lp + table[(get(prev2, v - 1) * v + get(prev1, v - 1)) * v + get(ch, v - 1)]
-        for (table, v, get), lp in zip(views, lasts)
-    ]
+    try:
+        return [
+            lp + table[(index[prev2] * v + index[prev1]) * v + index[ch]]
+            for (table, v, index, _), lp in zip(views, lasts)
+        ]
+    except KeyError:
+        return extended_log_probs(views, lasts, _known(views[0], prev2 + prev1 + ch))
 
 
 # per-pack v x v tables of a trigram cube's maxima over one slot:
@@ -282,11 +316,13 @@ def edit1_gain_bound(view: ScoringView, maxima: Maxima, word: str) -> float:
     weight mass stays below `LOG_HALF` by more than 1e-9, which covers
     that and the rounding of the context scores, about 1e-12 each.
     """
-    table, v, get = view
+    table, v, index, _ = view
     over_last, over_middle, over_first = maxima
-    oov = v - 1
     n = len(word)
-    p = [0, 0, *[get(ch, oov) for ch in word]]  # letter k is p[k + 2]
+    try:
+        p = [0, 0, *[index[ch] for ch in word]]  # letter k is p[k + 2]
+    except KeyError:
+        return edit1_gain_bound(view, maxima, _known(view, word))
     ctx = [p[k] * v + p[k + 1] for k in range(n + 1)]  # letter k's context
     term = [table[ctx[k] * v + p[k + 2]] for k in range(n)]
     # tail[k]: what letter k + 1's term can gain when the letter two before

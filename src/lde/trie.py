@@ -121,10 +121,11 @@ class Trie:
             row = between.get(left, _NO_ROW)
             probes += [head + ch + tail for ch in row.get(right, "")]
             # deleting letter i forms the triples centred on `left` and on
-            # `right`, unless that one is the boundary
-            if (i == 0 or left in between.get(padded[i - 1], _NO_ROW).get(right, "")) and (
-                i == n - 1 or right in row.get(padded[i + 3], "")
-            ):
+            # `right`, unless that one is the boundary; deleting the only
+            # letter leaves no word
+            if n > 1 and (
+                i == 0 or left in between.get(padded[i - 1], _NO_ROW).get(right, "")
+            ) and (i == n - 1 or right in row.get(padded[i + 3], "")):
                 probes.append(head + tail)
         for g in range(max(last, 0), min(first + 1, n) + 1):
             head, tail = word[:g], word[g:]

@@ -10,8 +10,10 @@ from lde import Threshold, build_alphabet, normalize_text, perplexity, read_pack
 from lde.ngram import (
     Alphabet,
     TrigramModel,
+    context_log_probs,
     edit1_gain_bound,
-    scoring_view,
+    extended_log_probs,
+    scoring_views,
     trigram_maxima,
 )
 from lde.pack import write_pack
@@ -271,6 +273,62 @@ def test_methods_equal_the_table_walk(seed, words, r):
         assert model.word_log_prob(word) == walk_log_prob(model, [word])
 
 
+# letters the alphabets below draw from: U+0000, which the first always
+# holds, and a non-BMP letter among them; and letters in no alphabet
+SHARED = "abcdé𝔞"
+NOWHERE = "zя𝔷"
+
+
+@st.composite
+def view_sets(draw):
+    """1-3 models whose alphabets overlap or not, the first holding
+    U+0000, with random tables; and 1-4 words of their letters and
+    letters in no alphabet."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    models = []
+    for k in range(draw(st.integers(1, 3))):
+        letters = draw(st.lists(st.sampled_from(SHARED), min_size=1, max_size=4, unique=True))
+        alphabet = Alphabet((" ", *(["\0"] if k == 0 else []), *letters))
+        table = [math.log(rng.uniform(1e-3, 1.0)) for _ in range(alphabet.size**3)]
+        models.append(TrigramModel(language=f"l{k}", alphabet=alphabet, table=table, alpha=0.5))
+    word = st.text(st.sampled_from("\0" + SHARED + NOWHERE), min_size=1, max_size=6)
+    return models, draw(st.lists(word, min_size=1, max_size=4))
+
+
+class TestScoringViews:
+    @settings(max_examples=300, deadline=None)
+    @given(case=view_sets(), r=st.floats(0.0, 1.0, exclude_min=True))
+    def test_walks_equal_the_table_walk_of_each_model(self, case, r):
+        """Scored together through one letter index, every model gives the
+        floats of its own entry-by-entry walk: a letter outside its
+        alphabet, in another or in none, reads its oov slot."""
+        models, words = case
+        views = scoring_views(models)
+        n = len(words)
+        heads, lasts = context_log_probs(views, words, [r ** (n - 1 - k) for k in range(n)])
+        last = words[-1]
+        # the last word's letters added one at a time to its first
+        extended = context_log_probs(views, [last[0]], [1.0])[1]
+        for end in range(2, len(last) + 1):
+            extended = extended_log_probs(views, extended, last[:end])
+        for model, head, lp, ext in zip(models, heads, lasts, extended):
+            assert head + lp == walk_log_prob(model, words, r)
+            assert lp == ext == walk_log_prob(model, [last])
+
+    def test_the_stand_in_is_the_lowest_code_point_in_no_alphabet(self):
+        def model(*letters):
+            alphabet = Alphabet((" ", *letters))
+            return TrigramModel("xx", alphabet, [0.0] * alphabet.size**3, 0.5)
+
+        assert {view[3] for view in scoring_views([model("a"), model("b")])} == {"\0"}
+        views = scoring_views([model("\0", "\x01", "a"), model("b", "\x03")])
+        assert {view[3] for view in views} == {"\x02"}
+        # every view indexes the same letters, each at its own model's slot
+        assert all(view[2].keys() == views[0][2].keys() for view in views)
+        assert [view[2]["b"] for view in views] == [4, 1]
+        assert [view[2]["\x02"] for view in views] == [4, 3]
+
+
 class TestTrailingWordDominance:
     def test_exact_crossover(self):
         alphabet = Alphabet((" ", "a", "b"))
@@ -345,7 +403,7 @@ class TestEdit1GainBound:
     def test_never_below_the_best_edit(self, case):
         model, word = case
         maxima = trigram_maxima(model.table, model.alphabet.size)
-        bound = edit1_gain_bound(scoring_view(model), maxima, word)
+        bound = edit1_gain_bound(scoring_views((model,))[0], maxima, word)
         here = model.word_log_prob(word)
         # the substituted or inserted letter runs over every table slot:
         # the alphabet, whitespace included, and a letter outside it
@@ -365,7 +423,7 @@ class TestEdit1GainBound:
         maxima = trigram_maxima(table, v)
         gain = model.word_log_prob("b") - model.word_log_prob("ab")
         assert gain == 99.0
-        assert edit1_gain_bound(scoring_view(model), maxima, "ab") == gain
+        assert edit1_gain_bound(scoring_views((model,))[0], maxima, "ab") == gain
 
     def test_read_pack_derives_the_maxima_of_its_table(self, toy_alphabet, tmp_path):
         lines = ["ab ba aab", "bab abba", "a b ab"]

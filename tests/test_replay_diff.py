@@ -11,7 +11,19 @@ from pathlib import Path
 from collections import Counter
 
 from lde import LruCache
-from tools.replay_diff import COUNTED, compare, count_lines, counting, each_call, replay
+from lde.ngram import Alphabet, TrigramModel, context_log_probs, extended_log_probs, scoring_views
+from tools.replay_diff import (
+    COUNTED,
+    compare,
+    count_lines,
+    counting,
+    each_call,
+    extension_reads,
+    length,
+    replay,
+    truthy,
+    walk_reads,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKS = {"l0.ldep": "00ab", "l1.ldep": "11cd"}
@@ -79,17 +91,20 @@ def test_two_recordings_of_one_checkout_count_the_same_work():
     assert first == second
     assert list(first) == list(COUNTED)
     # typo-10's trailing tokens are typos: each is searched somewhere, and
-    # a search finds a candidate only among the probes it makes
-    assert 0 < first["rescues"] <= first["searches with a candidate"] <= first["searches"]
-    assert first["searches with a candidate"] <= first["probes made"]
+    # a search finds a candidate only among the probes that hit
+    searches = first["localised searches"] + first["whole-lexicon searches"]
+    assert 0 < first["rescues"] <= first["searches with a candidate"] <= searches
+    assert first["searches with a candidate"] <= first["probes that hit"] <= first["probes made"]
+    # a walk reads an entry per pack and letter, at least one
+    assert first["table reads"] >= first["full walks"] > 0
     # every session of typo-10 is one call, so nothing is looked up twice
     assert first["cache hits"] == 0
 
 
 def test_a_change_that_adds_a_search_is_reported(tmp_path):
-    """A copy of the checkout whose `detect` also searches one lexicon
-    decides the same, and the table shows each added search and the
-    probes it makes."""
+    """A copy of the checkout whose `detect` also searches one lexicon for
+    a word of its own decides the same, and the table shows each added
+    whole-lexicon search, its candidate and the probes it makes."""
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     shutil.copytree(ROOT / "ldebench", tmp_path / "ldebench",
@@ -98,7 +113,7 @@ def test_a_change_that_adds_a_search_is_reported(tmp_path):
         fh.write(
             "\n\n_detect = Engine.detect\n\n\n"
             "def _searching_detect(self, raw, state):\n"
-            "    self._lexicons[0].edit1_candidates('q')\n"
+            "    self._lexicons[0].edit1_candidates(next(iter(self._lexicons[0])))\n"
             "    return _detect(self, raw, state)\n\n\n"
             "Engine.detect = _searching_detect\n"
         )
@@ -109,22 +124,58 @@ def test_a_change_that_adds_a_search_is_reported(tmp_path):
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "cold-10 seed 3: 10 packs, 5000 calls, identical"
-    assert lines[3].split() == ["searches", "0", "5000", "+5000"]
-    probes = lines[5].split()
-    assert probes[:3] == ["probes", "made", "0"]
-    assert int(probes[3]) > 0 and int(probes[3]) % 5000 == 0 and probes[4] == f"+{probes[3]}"
-    assert [row for row in lines[2:] if row.split()[-1].startswith("+")] == [lines[3], lines[5]]
+    rows = count_rows(lines[2:])
+    # a lexicon word has no bad triple: its search covers the whole lexicon
+    # and finds at least the word itself among its probes
+    marked = {name: row for name, row in rows.items() if row[2]}
+    assert marked.keys() == {"whole-lexicon searches", "searches with a candidate",
+                             "probes made", "probes that hit"}
+    assert marked["whole-lexicon searches"] == marked["searches with a candidate"] == (
+        0, 5000, "+5000")
+    for name in ("probes made", "probes that hit"):
+        before, after, diff = marked[name]
+        assert before == 0 and after > 0 and after % 5000 == 0 and diff == f"+{after}"
+    # the walks are untouched
+    assert rows["table reads"][0] == rows["table reads"][1] > 0
+
+
+def count_rows(lines: list[str]) -> dict[str, tuple[int, int, str | None]]:
+    """Each work count line as name -> (parent, change, difference)."""
+    rows = {}
+    for line in lines:
+        parts = line.split()
+        diff = parts.pop() if parts[-1][0] in "+-" else None
+        after, before = int(parts.pop()), int(parts.pop())
+        rows[" ".join(parts)] = (before, after, diff)
+    return rows
 
 
 def test_tallies_count_calls_truthy_results_and_lengths():
     counts = Counter()
     cache = LruCache(4)
     cache.put("ab", ("entry",))
-    get = counting(counts, cache.get, {"lookups": each_call, "cache hits": bool})
-    probes = counting(counts, lambda word: [word] * len(word), {"probes made": len})
+    get = counting(counts, cache.get, {"lookups": each_call, "cache hits": truthy})
+    probes = counting(counts, lambda word: [word] * len(word), {"probes made": length})
     assert [get("ab"), get("x"), get("ab")] == [("entry",), None, ("entry",)]
     assert probes("abc") == ["abc"] * 3 and probes("") == []
     assert counts == {"lookups": 3, "cache hits": 2, "probes made": 3}
+
+
+def test_table_reads_are_weighed_by_the_arguments():
+    """A walk reads one entry per view and letter, an extension one per
+    view, whatever the letters are."""
+    models = []
+    for letters in ("ab", "bc", "c"):
+        alphabet = Alphabet((" ", *letters))
+        models.append(TrigramModel("xx", alphabet, [-1.0] * alphabet.size**3, 0.5))
+    views = scoring_views(models)
+    counts = Counter()
+    walk = counting(counts, context_log_probs, {"table reads": walk_reads})
+    extend = counting(counts, extended_log_probs, {"table reads": extension_reads})
+    lasts = walk(views, ["ab", "cxz"], [0.5, 1.0])[1]
+    assert counts["table reads"] == 3 * 5
+    extend(views, lasts, "cxzq")
+    assert counts["table reads"] == 3 * 5 + 3
 
 
 def test_count_lines_mark_only_the_differing_counts():

@@ -218,6 +218,14 @@ class TestEdit1Candidates:
         assert trie.edit1_candidates("xbcda") == [("bcda", 1)]
         assert trie.edit_span("abcd") is ANYWHERE
 
+    def test_a_one_letter_query_never_probes_the_empty_string(self):
+        # both neighbours of the only letter are the boundary, so its
+        # deletion would pass the index check, but it leaves no word
+        trie = Trie({"ab": 1, "b": 2})
+        assert trie.probes("a") == ["b", "ab"]
+        assert "" not in trie.probes("b")
+        assert trie.edit1_candidates("a") == [("b", 2), ("ab", 1)]
+
     def test_letter_check_matches_brute_force(self, monkeypatch):
         """Queries holding 0, 1 or 2 foreign letters, a repeated one and
         non-ASCII ones, in a lexicon and in one built with a word that

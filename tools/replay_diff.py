@@ -15,17 +15,19 @@ A change meant to keep every decision and score bit-identical is
 checked this way on each workload.
 
 The subprocess also counts the work the replay does, by wrapping the
-functions detection reaches (nothing is added to lde's objects): typo
-rescue's bound evaluations (`lde.engine.edit1_gain_bound`), its edit-1
-searches (`Trie.edit1_candidates`) and those that found a candidate,
-the probes they made (the strings `Trie.probes` returned), full scoring
-walks (`lde.engine.context_log_probs`), one-letter extensions
-(`lde.engine.extended_log_probs`), cache hits (`LruCache.get` returning
-an entry) and rescues (`Engine._typo_rescue` returning a detection).
-The counts are exact
-for a workload and seed, and both checkouts' are printed side by side,
-each differing row marked with the change's difference; they never
-make the replays differ.
+functions detection reaches (nothing is added to lde's objects), each
+call weighed by its arguments and its result: typo rescue's bound
+evaluations (`lde.engine.edit1_gain_bound`), its edit-1 searches
+(`Trie.edit1_candidates`), localised or over the whole lexicon (`span`
+is `ANYWHERE`), those that found a candidate and the distinct probes
+that are lexicon words, the probes made (the strings `Trie.probes`
+returned), full scoring walks (`lde.engine.context_log_probs`) and their
+table reads (one per view and letter), one-letter extensions
+(`lde.engine.extended_log_probs`, one read per view), cache hits
+(`LruCache.get` returning an entry) and rescues (`Engine._typo_rescue`
+returning a detection).  The counts are exact for a workload and seed,
+and both checkouts' are printed side by side, each differing row marked
+with the change's difference; they never make the replays differ.
 """
 
 from __future__ import annotations
@@ -43,23 +45,44 @@ from pathlib import Path
 # how many mismatched calls are printed
 SHOW = 10
 # the work counts, in the order they are printed
-COUNTED = ("bound evaluations", "searches", "searches with a candidate", "probes made",
-           "full walks", "one-letter extensions", "cache hits", "rescue attempts", "rescues")
+COUNTED = ("bound evaluations", "localised searches", "whole-lexicon searches",
+           "searches with a candidate", "probes made", "probes that hit", "full walks",
+           "table reads", "one-letter extensions", "cache hits", "rescue attempts", "rescues")
 
 
-def each_call(result) -> int:
+def each_call(result, *args, **kwargs) -> int:
     """A tally of calls, whatever they return."""
     return 1
 
 
+def truthy(result, *args, **kwargs) -> int:
+    """A tally of calls that return something."""
+    return bool(result)
+
+
+def length(result, *args, **kwargs) -> int:
+    """The length of what a call returns."""
+    return len(result)
+
+
+def walk_reads(result, views, words, *args, **kwargs) -> int:
+    """The table entries a full walk reads: one per view and letter."""
+    return len(views) * sum(map(len, words))
+
+
+def extension_reads(result, views, *args, **kwargs) -> int:
+    """The table entries a one-letter extension reads: one per view."""
+    return len(views)
+
+
 def counting(counts: Counter, fn, tallies: dict):
-    """`fn`, adding `weigh(result)` to the count `name` on each call, for
-    every `name: weigh` of `tallies`."""
+    """`fn`, adding `weigh(result, *args, **kwargs)` to the count `name`
+    on each call, for every `name: weigh` of `tallies`."""
 
     def counted(*args, **kwargs):
         result = fn(*args, **kwargs)
         for name, weigh in tallies.items():
-            counts[name] += weigh(result)
+            counts[name] += weigh(result, *args, **kwargs)
         return result
 
     return counted
@@ -77,7 +100,7 @@ def record(root: Path, workload: str, seed: int, out_dir: Path) -> None:
             raise SystemExit(f"{name} imported from {module.__file__}, not {home}")
     import lde.engine
     from lde import Engine, EngineConfig, LruCache, read_pack
-    from lde.trie import Trie
+    from lde.trie import ANYWHERE, Trie
     from ldebench.workloads import generate
 
     work = generate(workload, seed, out_dir)
@@ -85,15 +108,29 @@ def record(root: Path, workload: str, seed: int, out_dir: Path) -> None:
                       for path in work.pack_paths}))
     engine = Engine([read_pack(path) for path in work.pack_paths],
                     EngineConfig(languages=work.languages))
+    probes = Trie.probes  # unwrapped: counting a search's hits makes no probe
+
+    def whole(result, trie, word, max_results=10, span=None) -> int:
+        return (trie.edit_span(word) if span is None else span) is ANYWHERE
+
+    def localised(*call, **kwargs) -> int:
+        return 1 - whole(*call, **kwargs)
+
+    def hits(result, trie, word, max_results=10, span=None) -> int:
+        return sum(probe in trie for probe in set(probes(trie, word, span)))
+
     counts = Counter(dict.fromkeys(COUNTED, 0))
     for owner, attr, tallies in (
         (lde.engine, "edit1_gain_bound", {"bound evaluations": each_call}),
-        (Trie, "edit1_candidates", {"searches": each_call, "searches with a candidate": bool}),
-        (Trie, "probes", {"probes made": len}),
-        (lde.engine, "context_log_probs", {"full walks": each_call}),
-        (lde.engine, "extended_log_probs", {"one-letter extensions": each_call}),
-        (LruCache, "get", {"cache hits": bool}),
-        (Engine, "_typo_rescue", {"rescue attempts": each_call, "rescues": bool}),
+        (Trie, "edit1_candidates", {
+            "localised searches": localised, "whole-lexicon searches": whole, "searches with a candidate": truthy,
+            "probes that hit": hits}),
+        (Trie, "probes", {"probes made": length}),
+        (lde.engine, "context_log_probs", {"full walks": each_call, "table reads": walk_reads}),
+        (lde.engine, "extended_log_probs", {"one-letter extensions": each_call,
+                                            "table reads": extension_reads}),
+        (LruCache, "get", {"cache hits": truthy}),
+        (Engine, "_typo_rescue", {"rescue attempts": each_call, "rescues": truthy}),
     ):
         setattr(owner, attr, counting(counts, getattr(owner, attr), tallies))
     for session in work.sessions:
