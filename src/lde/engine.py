@@ -11,7 +11,9 @@ is left (extending past short tokens).  Every loaded language scores the
 context with its recency-weighted trigram model minus its threshold: one
 flat loop (`ngram.context_log_probs`) walks every token through every
 pack's table, with no call per pack or per word, using recency weights
-and weight masses computed once per engine for each context length.  It
+and weight masses computed once per engine for each context length, and
+the exact letter index per pack that the engine builds once over the
+union of its packs' alphabets (`ngram.scoring_views`).  It
 gives each pack two parts, the weighted total of every word but the
 last (the head) and the last word's log-probability (the last), and a
 session's state keeps the parts of the context it last scored.  While a

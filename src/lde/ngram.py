@@ -12,6 +12,10 @@ normalized text never contains two adjacent spaces, the (space, space)
 context row can never be produced by real trigram counts, so that row is
 used to hold the space-conditioned first-character distribution.  This
 keeps the whole model in a single dense cube.
+
+Models scored together read their letters through one exact index each
+(`scoring_views`), a plain dict over the union of their alphabets, so
+the walk reads a letter with one dict subscript.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import math
 import unicodedata
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 from typing import Iterable, Sequence
 
@@ -152,11 +157,16 @@ class TrigramModel:
                 f"table has {len(self.table)} entries, expected {v ** 3}"
             )
 
+    @cached_property
+    def _views(self) -> tuple[ScoringView]:
+        """The model's own scoring view, built on first use."""
+        return scoring_views((self,))
+
     def word_log_prob(self, word: str) -> float:
         """Log-probability of one word, first character conditioned on space."""
         if not word:
             raise ValueError("empty token")
-        return context_log_probs(scoring_views((self,)), (word,), (1.0,))[1][0]
+        return context_log_probs(self._views, (word,), (1.0,))[1][0]
 
     def sequence_log_prob(self, words: Sequence[str], r: float = DEFAULT_RECENCY) -> float:
         """Recency-weighted sum of word log-probabilities.
@@ -170,14 +180,14 @@ class TrigramModel:
             raise ValueError(f"recency factor must be in (0, 1], got {r}")
         n = len(words)
         weights = [r ** (n - 1 - k) for k in range(n)]
-        (head,), (last,) = context_log_probs(scoring_views((self,)), words, weights)
+        (head,), (last,) = context_log_probs(self._views, words, weights)
         return head + last
 
 
 # what `context_log_probs` reads of one model: (table, side, letter index,
-# stand-in).  The index maps every letter of the engine's alphabets, and the
-# stand-in, a code point in none of them, to the model's symbol index; a
-# letter outside its own alphabet maps to its oov slot.
+# stand-in).  The index maps each letter of the models scored together, and
+# the stand-in, a code point in no alphabet, to this model's symbol index or
+# oov slot.  Views walked together come from one `scoring_views` call.
 ScoringView = tuple[list[float], int, dict[str, int], str]
 
 
@@ -185,12 +195,8 @@ def scoring_views(models: Sequence[TrigramModel]) -> tuple[ScoringView, ...]:
     """One view per model, each with an exact letter index over the union
     of the models' alphabets.
 
-    The index is a plain dict, so a walk reads a letter with one subscript.
-    It also holds the stand-in, the lowest code point in no alphabet (not a
-    fixed `"\\0"`, which an alphabet may hold), at the oov slot: a walk
-    that meets a letter in no alphabet maps it to the stand-in and walks
-    again.  Taken once per engine, so that scoring a context reads the
-    table, its side (`alphabet.size`) and the index from a tuple.
+    The stand-in is the lowest code point in no alphabet, not a fixed
+    `"\\0"`, which an alphabet may hold.  Taken once per engine.
     """
     letters = sorted({ch for model in models for ch in model.alphabet.symbols})
     stand_in = next(chr(c) for c in count() if chr(c) not in letters)
@@ -225,11 +231,10 @@ def context_log_probs(
     pack at once, with no call per pack or per word.  The weights are not
     checked against `words` or against r's range.
 
-    The flat index of a letter's trigram is that of the one before it,
-    less its oldest symbol (modulo v * v), shifted by one symbol (times v)
-    plus the letter's.  A letter the views' index lacks raises `KeyError`;
-    the walk then replaces every such letter with the stand-in and starts
-    again, so the common path checks nothing.
+    A letter's flat table index is the one before it less its oldest
+    symbol (modulo v * v), times v, plus the letter's.  A letter in no
+    alphabet raises `KeyError`, and the walk starts again with every such
+    letter replaced by the stand-in, so the common path checks nothing.
     """
     if not words or "" in words:
         raise ValueError("empty sequence or token")

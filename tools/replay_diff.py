@@ -122,9 +122,10 @@ def record(root: Path, workload: str, seed: int, out_dir: Path) -> None:
     counts = Counter(dict.fromkeys(COUNTED, 0))
     for owner, attr, tallies in (
         (lde.engine, "edit1_gain_bound", {"bound evaluations": each_call}),
-        (Trie, "edit1_candidates", {
-            "localised searches": localised, "whole-lexicon searches": whole, "searches with a candidate": truthy,
-            "probes that hit": hits}),
+        (Trie, "edit1_candidates", {"localised searches": localised,
+                                    "whole-lexicon searches": whole,
+                                    "searches with a candidate": truthy,
+                                    "probes that hit": hits}),
         (Trie, "probes", {"probes made": length}),
         (lde.engine, "context_log_probs", {"full walks": each_call, "table reads": walk_reads}),
         (lde.engine, "extended_log_probs", {"one-letter extensions": each_call,
