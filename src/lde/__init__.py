@@ -28,7 +28,6 @@ from .ngram import (
     Alphabet,
     TrigramModel,
     build_alphabet,
-    normalize_text,
     perplexity,
     train_trigram,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "load_lexicon",
     "load_word_list",
     "make_pack",
-    "normalize_text",
     "perplexity",
     "read_pack",
     "read_tagged_tsv",

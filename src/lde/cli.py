@@ -396,8 +396,8 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True, help="UTF-8 corpus, one sentence per line")
     p.add_argument("--lang", required=True, help="language code")
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="smoothing")
-    p.add_argument("--alphabet-size", type=int, default=26, help="max letters kept")
-    p.add_argument("--lexicon-size", type=int, default=50000, help="top-K lexicon words")
+    p.add_argument("--alphabet-size", type=_positive_int, default=26, help="max letters kept")
+    p.add_argument("--lexicon-size", type=_positive_int, default=50000, help="top-K lexicon words")
     p.add_argument("--out", required=True, help="model JSON output path")
     p.set_defaults(func=cmd_train_ngram)
 
@@ -405,8 +405,8 @@ def build_parser() -> _Parser:
     p.add_argument("--models", required=True, help="directory of model JSON files")
     p.add_argument("--lexicons", required=True, help="directory of <lang>.lex files")
     p.add_argument("--lang", required=True, help="target language code")
-    p.add_argument("--positives", type=int, default=100000)
-    p.add_argument("--negatives", type=int, default=100000)
+    p.add_argument("--positives", type=_positive_int, default=100000)
+    p.add_argument("--negatives", type=_positive_int, default=100000)
     p.add_argument("--out", required=True, help="selector JSON output path")
     p.set_defaults(func=cmd_train_selector)
 

@@ -1,13 +1,11 @@
 """End-to-end detection pipeline.
 
-Input text goes through one `str.translate` with a table that maps each
-character straight to its stripped, lowercased and filtered form (emoji,
-symbols, controls, marks, digits and punctuation out) and one `split`
-into words; only a text holding `Σ`, whose lowercase depends on its
-neighbours, takes the two-pass strip-then-`normalize_text` path.
-Trailing proper nouns, which say nothing about the language, are popped
-off that word list, and the trailing context window is sliced off what
-is left (extending past short tokens).  Every loaded language scores the
+Input text becomes words through `ngram.strip_symbols`, the front end
+that also turns corpora, lexicons and noun lists into words, so a typed
+word is looked up in the form its lexicon and noun list store.  Trailing
+proper nouns, which say nothing about the language, are popped off that
+word list, and the trailing context window is sliced off what is left
+(extending past short tokens).  Every loaded language scores the
 context with its recency-weighted trigram model minus its threshold: one
 flat loop (`ngram.context_log_probs`) walks every token through every
 pack's table, with no call per pack or per word, using recency weights
@@ -40,7 +38,6 @@ session language once.
 
 from __future__ import annotations
 
-import unicodedata
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
@@ -49,52 +46,15 @@ from typing import ClassVar, Mapping, NamedTuple, Sequence
 
 from .ngram import (
     DEFAULT_RECENCY,
-    WHITESPACE,
-    _NORMALIZE_TABLE,
-    _CharTable,
     context_log_probs,
     edit1_gain_bound,
     extended_log_probs,
-    normalize_text,
     scoring_views,
+    strip_symbols,
 )
 from .pack import LanguagePack
 from .selector import LOG_HALF, select_language
 from .trie import ANYWHERE
-
-
-def _strip_class(ch: str):
-    if ch.isspace():
-        return WHITESPACE
-    if unicodedata.category(ch)[0] in ("S", "C", "M"):
-        return None
-    return ch
-
-
-_STRIP_TABLE = _CharTable(_strip_class)
-
-
-def _front_class(ch: str):
-    kept = _strip_class(ch)
-    return None if kept is None else kept.lower().translate(_NORMALIZE_TABLE)
-
-
-# `_strip_class` then `normalize_text`, one character at a time
-_FRONT_TABLE = _CharTable(_front_class)
-
-
-def strip_symbols(raw: str) -> list[str]:
-    """The words of `raw`: emoji, pictographs and control characters
-    dropped, then normalized, then split on whitespace.
-
-    One pass through `_FRONT_TABLE` gives what stripping and then
-    `normalize_text` give, except for `Σ`: lowercasing a whole string
-    turns a word-final `Σ` into `ς`, which no per-character table can do,
-    so a text holding one takes the two passes.
-    """
-    if "Σ" in raw:
-        return normalize_text(raw.translate(_STRIP_TABLE)).split()
-    return raw.translate(_FRONT_TABLE).split()
 
 
 @dataclass

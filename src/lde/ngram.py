@@ -1,4 +1,10 @@
-"""Character trigram emission models.
+"""Character trigram emission models, and the one text front end.
+
+Text becomes words in one way, `strip_symbols`, for training corpora,
+lexicons, noun lists and typed text alike: symbols, controls and marks
+are dropped, the rest lowercased, digits and punctuation dropped, and
+what is left split on whitespace.  So every word detection looks up is
+in the form training counted and stored.
 
 Each supported language gets its own trigram model trained on a monolingual
 corpus, completely independent of the other languages.  A model stores a
@@ -8,10 +14,10 @@ out-of-alphabet characters).
 
 Words are scored with a leading space: the first character is conditioned
 on whitespace, every later character on the two preceding ones.  Because
-normalized text never contains two adjacent spaces, the (space, space)
-context row can never be produced by real trigram counts, so that row is
-used to hold the space-conditioned first-character distribution.  This
-keeps the whole model in a single dense cube.
+a line's words never hold two adjacent spaces, the (space, space) context
+row can never be produced by real trigram counts, so that row is used to
+hold the space-conditioned first-character distribution.  This keeps the
+whole model in a single dense cube.
 
 Models scored together read their letters through one exact index each
 (`scoring_views`), a plain dict over the union of their alphabets, so
@@ -49,26 +55,46 @@ class _CharTable(dict):
         return result
 
 
-def _normalize_class(ch: str):
-    if ch.isspace():
-        return WHITESPACE
-    category = unicodedata.category(ch)
-    if category[0] in ("N", "P"):
-        return None
-    return ch
+def _dropping(categories: str) -> _CharTable:
+    """A table that maps whitespace to a space and drops each character
+    whose general category starts with a letter of `categories`."""
+
+    def classify(ch: str):
+        if ch.isspace():
+            return WHITESPACE
+        return None if unicodedata.category(ch)[0] in categories else ch
+
+    return _CharTable(classify)
 
 
-_NORMALIZE_TABLE = _CharTable(_normalize_class)
+# symbols, controls and marks out; then, once lowercased, digits and punctuation
+_STRIP_TABLE = _dropping("SCM")
+_LETTER_TABLE = _dropping("NP")
 
 
-def normalize_text(raw: str) -> str:
-    """Lowercase, drop digits/punctuation, collapse runs of whitespace.
+def _front_class(ch: str):
+    kept = _STRIP_TABLE[ord(ch)]
+    return None if kept is None else kept.lower().translate(_LETTER_TABLE)
 
-    Characters that are not part of any alphabet (e.g. foreign-script
-    letters) are kept; they map to the reserved out-of-alphabet symbol
-    at scoring time.
+
+# the three steps of `strip_symbols`, one character at a time
+_FRONT_TABLE = _CharTable(_front_class)
+
+
+def strip_symbols(raw: str) -> list[str]:
+    """The words of `raw`: symbols (emoji too), controls and marks
+    dropped, then lowercased, then digits and punctuation dropped, then
+    split on whitespace.
+
+    One pass through `_FRONT_TABLE` gives what the three steps give,
+    except for `Σ`: lowercasing a whole string turns a word-final `Σ`
+    into `ς`, which no per-character table can do, so a text holding one
+    takes the three passes.  Not idempotent: `İ` lowercases to `i` and a
+    combining dot, which a second pass drops.
     """
-    return " ".join(raw.lower().translate(_NORMALIZE_TABLE).split())
+    if "Σ" in raw:
+        return raw.translate(_STRIP_TABLE).lower().translate(_LETTER_TABLE).split()
+    return raw.translate(_FRONT_TABLE).split()
 
 
 class Alphabet:
@@ -120,15 +146,16 @@ class Alphabet:
 
 
 def build_alphabet(corpus: Iterable[str], max_symbols: int = 26) -> Alphabet:
-    """Pick the most frequent normalized characters of a corpus.
+    """Pick the most frequent letters of a corpus's words.
 
-    Keeps whitespace plus up to `max_symbols` characters, most frequent
-    first (ties broken by codepoint).  Everything else maps to oov.
+    Keeps whitespace plus up to `max_symbols` letters of the words
+    `strip_symbols` gives, most frequent first (ties broken by codepoint).
+    Everything else maps to oov.
     """
     counts: dict[str, int] = {}
     for chunk in corpus:
-        for ch in normalize_text(chunk):
-            if ch != WHITESPACE:
+        for word in strip_symbols(chunk):
+            for ch in word:
                 counts[ch] = counts.get(ch, 0) + 1
     if not counts:
         raise ValueError("empty corpus")
@@ -360,12 +387,12 @@ def edit1_gain_bound(view: ScoringView, maxima: Maxima, word: str) -> float:
     return best
 
 
-def _line_indices(line: str, alphabet: Alphabet) -> list[int]:
-    """Index sequence for one normalized line, every word space-prefixed."""
+def _line_indices(words: list[str], alphabet: Alphabet) -> list[int]:
+    """Index sequence for one line's words, every word space-prefixed."""
     out: list[int] = []
     get = alphabet._index.get
     oov = alphabet.oov
-    for word in line.split():
+    for word in words:
         out.append(0)
         out.extend(get(ch, oov) for ch in word)
     return out
@@ -379,10 +406,10 @@ def train_trigram(
 ) -> TrigramModel:
     """Count trigrams over a corpus and build the smoothed log-prob cube.
 
-    Each line is treated as space-delimited words with a leading space per
-    word; the spaces between words contribute their own trigrams.  The
-    first-character-after-space distribution is counted into the
-    (space, space) context row.  Additive smoothing with `smoothing_alpha`
+    Each line is read as the words `strip_symbols` gives, with a leading
+    space per word; the spaces between words contribute their own
+    trigrams.  The first-character-after-space distribution is counted
+    into the (space, space) context row.  Additive smoothing with `smoothing_alpha`
     keeps every row finite and summing to one.
     """
     if smoothing_alpha <= 0:
@@ -393,11 +420,11 @@ def train_trigram(
     v2 = v * v
     language_seen = False
     for raw_line in corpus_lines:
-        line = normalize_text(raw_line)
-        if not line:
+        words = strip_symbols(raw_line)
+        if not words:
             continue
         language_seen = True
-        seq = _line_indices(line, alphabet)
+        seq = _line_indices(words, alphabet)
         for i in range(len(seq) - 2):
             counts[seq[i] * v2 + seq[i + 1] * v + seq[i + 2]] += 1
         # space-conditioned first characters, housed at context (space, space)
@@ -426,8 +453,7 @@ def perplexity(model: TrigramModel, lines: Iterable[str]) -> float:
     total_lp = 0.0
     total_chars = 0
     for raw_line in lines:
-        line = normalize_text(raw_line)
-        for word in line.split():
+        for word in strip_symbols(raw_line):
             total_lp += model.word_log_prob(word)
             total_chars += len(word)
     if total_chars == 0:

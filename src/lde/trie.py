@@ -32,7 +32,7 @@ from typing import Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .ngram import normalize_text
+from .ngram import strip_symbols
 
 # left symbol -> right symbol -> the letters found between them
 TripleIndex = Mapping[str, Mapping[str, str]]
@@ -234,8 +234,9 @@ def trie_from_pairs(pairs: Iterable[tuple[str, int]]) -> Trie:
 
 
 def word_frequencies(lines: Iterable[str]) -> list[tuple[str, int]]:
-    """Corpus words with counts, most frequent first (ties by word)."""
-    return ranked(Counter(word for raw in lines for word in normalize_text(raw).split()))
+    """Corpus words, as `strip_symbols` gives them, with counts, most
+    frequent first (ties by word)."""
+    return ranked(Counter(word for raw in lines for word in strip_symbols(raw)))
 
 
 def lexicon_from_lines(lines: Iterable[str], top_k: int = 50000) -> dict[str, int]:
@@ -270,6 +271,14 @@ def save_lexicon(weights: Mapping[str, int] | Trie, path) -> None:
 
 
 def load_word_list(path) -> frozenset[str]:
-    """Read a one-word-per-line list (e.g. proper nouns), case-insensitively."""
+    """Read a one-word-per-line list (e.g. proper nouns), each word as
+    `strip_symbols` gives it, so case-insensitively.  A line with no word
+    is skipped; one with two or more words is refused."""
+    words = set()
     with open(path, encoding="utf-8") as fh:
-        return frozenset(word for raw in fh for word in normalize_text(raw).split())
+        for line_no, raw in enumerate(fh, start=1):
+            found = strip_symbols(raw)
+            if len(found) > 1:
+                raise ValueError(f"{path}:{line_no}: more than one word in {raw.strip()!r}")
+            words.update(found)
+    return frozenset(words)

@@ -36,7 +36,7 @@ from lde import (
     train_trigram,
     write_pack,
 )
-from lde.ngram import Alphabet, normalize_text
+from lde.ngram import Alphabet, strip_symbols
 from lde.pack import MAGIC
 from lde.synth import LATIN, corpus_lines, make_language
 from lde.trie import Trie, trie_from_pairs
@@ -411,7 +411,7 @@ def test_c09_total_size_bound(c9_corpus, full_alphabet_pack, tmp_path):
     # with DEFLATE) is printed for information only.
     _, lines, model = c9_corpus
     lexicon = lexicon_from_lines(lines)
-    corpus_words = {word for line in lines for word in normalize_text(line).split()}
+    corpus_words = {word for line in lines for word in strip_symbols(line)}
     assert {word for word, _ in lexicon.items()} == corpus_words
     path = tmp_path / "zz.ldep"
     write_pack(model, Threshold("zz", -14.0), lexicon, path)

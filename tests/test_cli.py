@@ -123,6 +123,17 @@ class TestTrainNgram:
     def test_usage_error_exit_code(self, capsys):
         assert main(["train-ngram", "--lang", "aa"]) == 1
 
+    @pytest.mark.parametrize("option", ["--alphabet-size", "--lexicon-size"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_size_below_one_is_a_usage_error(self, workspace, capsys, tmp_path, option, value):
+        out = tmp_path / "aa.json"
+        assert main([
+            "train-ngram", "--corpus", str(workspace["root"] / "aa.txt"),
+            "--lang", "aa", option, value, "--out", str(out),
+        ]) == 1
+        assert f"argument {option}: must be at least 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainSelector:
     def test_report_fields(self, workspace, capsys, tmp_path):
@@ -175,6 +186,18 @@ class TestTrainSelector:
         ])
         assert code == 2
         assert "bad lexicon line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--positives", "--negatives"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_count_below_one_is_a_usage_error(self, workspace, capsys, tmp_path, option, value):
+        out = tmp_path / "aa.selector.json"
+        assert main([
+            "train-selector", "--models", str(workspace["models"]),
+            "--lexicons", str(workspace["models"]), "--lang", "aa",
+            option, value, "--out", str(out),
+        ]) == 1
+        assert f"argument {option}: must be at least 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPack:
@@ -239,6 +262,22 @@ class TestPack:
             "--out", str(out),
         ]) == 2
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_words_on_a_noun_line_is_data_error(self, workspace, tmp_path, capsys):
+        nouns = tmp_path / "nouns.txt"
+        nouns.write_text("Quixario\nNew York\n", encoding="utf-8")
+        models = workspace["models"]
+        out = tmp_path / "x.ldep"
+        assert main([
+            "pack",
+            "--model", str(models / "aa.json"),
+            "--selector", str(models / "aa.selector.json"),
+            "--lexicon", str(models / "aa.lex"),
+            "--pronouns", str(nouns),
+            "--out", str(out),
+        ]) == 2
+        assert "nouns.txt:2" in capsys.readouterr().err
         assert not out.exists()
 
 

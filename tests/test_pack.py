@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lde.engine
 from lde import (
     Engine,
     EngineConfig,
@@ -19,6 +20,9 @@ from lde import (
     PackVersionError,
     Threshold,
     TruncatedPackError,
+    build_alphabet,
+    lexicon_from_lines,
+    load_word_list,
     make_pack,
     read_pack,
     train_trigram,
@@ -222,6 +226,32 @@ class TestRoundTrip:
         with pytest.raises(PackError, match="non-finite"):
             write_pack(model, tau, lexicon, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "lines, noun",
+        [
+            (["हिन्दी में लिखो", "मैं घर जा रहा हूँ।", "क्या हाल है? 😀"], "दिल्ली"),
+            (["தமிழ் ஒரு மொழி", "நான் வீட்டுக்கு போகிறேன்.", "இன்று 👍🏽 நன்றாக"], "சென்னை"),
+        ],
+        ids=["devanagari", "tamil"],
+    )
+    def test_native_script_pack_holds_the_words_detection_reads(self, tmp_path, lines, noun):
+        """Training, the lexicon, the noun list and detection read text
+        through one front end, so a native-script pack's lexicon and nouns
+        hold every word detection looks up, marks and all stripped alike."""
+        nouns = tmp_path / "nouns.txt"
+        nouns.write_text(noun + "\n", encoding="utf-8")
+        model = train_trigram(lines, build_alphabet(lines, max_symbols=60), 0.5, language="xx")
+        path = tmp_path / "xx.ldep"
+        write_pack(
+            model, Threshold("xx", -9.0), lexicon_from_lines(lines), path,
+            proper_nouns=load_word_list(nouns),
+        )
+        pack = read_pack(path)
+        for line in lines:
+            for word in lde.engine.strip_symbols(line):
+                assert word in pack.lexicon
+        assert set(lde.engine.strip_symbols(noun)) <= pack.proper_nouns
 
 
 class TestErrorPaths:

@@ -1,4 +1,4 @@
-from lde.ngram import normalize_text
+from lde.ngram import strip_symbols
 from lde.synth import LATIN, corpus_lines, disjoint_pair, inter_sentences, intra_sentences, make_language
 
 
@@ -26,7 +26,7 @@ def test_corpus_lines_are_normalized():
     lines = corpus_lines(a, 50, seed=7)
     assert len(lines) == 50
     for line in lines:
-        assert line == normalize_text(line)
+        assert line == " ".join(strip_symbols(line))
         assert 3 <= len(line.split()) <= 9
 
 

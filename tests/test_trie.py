@@ -402,6 +402,18 @@ class TestLexiconFiles:
         path.write_text("Paris\nDELHI\n", encoding="utf-8")
         assert load_word_list(path) == frozenset({"paris", "delhi"})
 
+    def test_word_list_refuses_a_line_of_two_words(self, tmp_path):
+        # read as two nouns, "New York" would make every trailing "new" a name
+        path = tmp_path / "nouns.txt"
+        path.write_text("Paris\nNew York\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="nouns.txt:2"):
+            load_word_list(path)
+
+    def test_word_list_skips_lines_with_no_word(self, tmp_path):
+        path = tmp_path / "nouns.txt"
+        path.write_text("Paris\n\n  \n2024 !!\n🎉 Delhi\n", encoding="utf-8")
+        assert load_word_list(path) == frozenset({"paris", "delhi"})
+
     def test_load_lexicon_sums_repeats_and_refuses_empty_word(self, tmp_path):
         path = tmp_path / "x.lex"
         path.write_text("kal\t2\nkya\t1\nkal\t3\n", encoding="utf-8")
