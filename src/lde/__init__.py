@@ -16,7 +16,6 @@ from .engine import (
     strip_symbols,
 )
 from .evaluation import (
-    EvalReport,
     TaggedSentence,
     code_switch_rate,
     eval_inter,
@@ -52,51 +51,6 @@ from .selector import (
     select_language,
     train_selector,
 )
-from .trie import Trie, lexicon_from_lines, load_lexicon, load_word_list, word_frequencies
+from .trie import lexicon_from_lines, load_word_list, word_frequencies
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Alphabet",
-    "Detection",
-    "DetectionPath",
-    "Engine",
-    "EngineConfig",
-    "EngineState",
-    "EvalReport",
-    "LOG_HALF",
-    "LanguagePack",
-    "LruCache",
-    "MalformedPackError",
-    "NotAPackError",
-    "PackChecksumError",
-    "PackError",
-    "PackVersionError",
-    "SelectorParams",
-    "TaggedSentence",
-    "Threshold",
-    "TrigramModel",
-    "Trie",
-    "TruncatedPackError",
-    "build_alphabet",
-    "build_training_set",
-    "code_switch_rate",
-    "context_tokens",
-    "eval_inter",
-    "eval_intra",
-    "lexicon_from_lines",
-    "load_lexicon",
-    "load_word_list",
-    "make_pack",
-    "perplexity",
-    "read_pack",
-    "read_tagged_tsv",
-    "reduce_parameters",
-    "select_language",
-    "strip_symbols",
-    "train_selector",
-    "train_trigram",
-    "word_frequencies",
-    "write_pack",
-    "write_tagged_tsv",
-]

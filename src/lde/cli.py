@@ -67,9 +67,15 @@ def _save_model_json(model: TrigramModel, path: str) -> None:
         json.dump(doc, fh)
 
 
-def _load_model_json(path) -> TrigramModel:
+def _read_json(path):
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON file ({exc})") from exc
+
+
+def _model_from_json(doc, path) -> TrigramModel:
     try:
         return TrigramModel(
             language=doc["language"],
@@ -77,7 +83,7 @@ def _load_model_json(path) -> TrigramModel:
             table=[float(x) for x in doc["table"]],
             alpha=float(doc["alpha"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a model file ({exc})") from exc
 
 
@@ -122,17 +128,18 @@ def cmd_train_ngram(args) -> int:
 
 
 def _discover_models(models_dir: str) -> dict[str, TrigramModel]:
-    """Every parseable model JSON in the directory, keyed by language.
+    """Every model JSON in the directory, keyed by language.
 
-    Other JSON files (selector reports etc.) are ignored.
+    A JSON document with none of the keys a model holds besides its
+    language (a selector report, say) is skipped; a file that is not
+    JSON, or a model that does not load, is a data error.
     """
     models = {}
     for path in sorted(Path(models_dir).glob("*.json")):
-        try:
-            model = _load_model_json(path)
-        except ValueError:
-            continue
-        models[model.language] = model
+        doc = _read_json(path)
+        if isinstance(doc, dict) and doc.keys() & {"alphabet", "alpha", "table"}:
+            model = _model_from_json(doc, path)
+            models[model.language] = model
     if not models:
         raise ValueError(f"no model files in {models_dir}")
     return models
@@ -171,8 +178,7 @@ def cmd_train_selector(args) -> int:
 
 
 def _load_selector_json(path) -> SelectorParams:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     try:
         return SelectorParams(
             language=doc["language"], weight=float(doc["w"]), bias=float(doc["b"])
@@ -182,7 +188,7 @@ def _load_selector_json(path) -> SelectorParams:
 
 
 def cmd_pack(args) -> int:
-    model = _load_model_json(args.model)
+    model = _model_from_json(_read_json(args.model), args.model)
     params = _load_selector_json(args.selector)
     if params.language != model.language:
         raise ValueError(
@@ -294,17 +300,9 @@ def cmd_eval(args) -> int:
     doc = report.to_json()
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, ensure_ascii=False)
-    _print_json(
-        {
-            "mode": args.mode,
-            "sentences": len(sentences),
-            "total_contexts": report.total,
-            "macro_f1": report.macro_f1,
-            "accuracy": report.accuracy,
-            "code_switch_rate": report.code_switch_rate,
-            "report": args.report,
-        }
-    )
+    keys = ("total_contexts", "macro_f1", "accuracy", "code_switch_rate")
+    summary = {key: doc[key] for key in keys}
+    _print_json({"mode": args.mode, "sentences": len(sentences), **summary, "report": args.report})
     if args.min_f1 is not None and report.macro_f1 < args.min_f1:
         raise GateFailure(
             f"macro-F1 {report.macro_f1:.4f} below gate {args.min_f1:.4f}"
@@ -379,8 +377,9 @@ def _positive_int(text: str) -> int:
 
 
 def _engine_options(p, langs_required: bool = False) -> None:
-    """The `--langs` and `--r` that `_load_engine` reads."""
+    """The `--packs`, `--langs` and `--r` that `_load_engine` reads."""
     default = "required" if langs_required else "default: every pack, by file name"
+    p.add_argument("--packs", required=True, help="directory of .ldep packs")
     p.add_argument(
         "--langs", required=langs_required,
         help=f"comma-separated codes, primary first ({default})",
@@ -419,14 +418,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("detect", help="detect languages of input lines")
-    p.add_argument("--packs", required=True, help="directory of .ldep packs")
     p.add_argument("--interactive", action="store_true")
     p.add_argument("--input", default=None, help="input file (default stdin)")
     _engine_options(p, langs_required=True)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("eval", help="evaluate on a tagged test set")
-    p.add_argument("--packs", required=True)
     p.add_argument("--testset", required=True, help="tagged TSV test set")
     p.add_argument("--mode", required=True, choices=("intra", "inter"))
     p.add_argument("--report", required=True, help="JSON report output path")
@@ -435,7 +432,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="measure per-detect latency")
-    p.add_argument("--packs", required=True)
     p.add_argument("--contexts", required=True, help="one context per line")
     p.add_argument("--iters", type=_positive_int, default=10000, help="timed detects (>= 1)")
     _engine_options(p)
@@ -455,7 +451,7 @@ def main(argv=None) -> int:
     except GateFailure as exc:
         print(f"lde: gate failure: {exc}", file=sys.stderr)
         return EXIT_GATE
-    except (ValueError, OSError, PackError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, PackError) as exc:
         print(f"lde: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

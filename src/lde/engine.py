@@ -49,6 +49,7 @@ from .ngram import (
     context_log_probs,
     edit1_gain_bound,
     extended_log_probs,
+    recency_weights,
     scoring_views,
     strip_symbols,
 )
@@ -80,8 +81,7 @@ class EngineConfig:
             raise ValueError("need at least one language")
         if len(set(self.languages)) != len(self.languages):
             raise ValueError("duplicate language codes")
-        if not 0.0 < self.r <= 1.0:
-            raise ValueError(f"recency factor must be in (0, 1], got {self.r}")
+        recency_weights(self.r, 1)  # checks r
 
 
 def context_tokens(words: list[str]) -> list[str]:
@@ -97,11 +97,6 @@ def context_tokens(words: list[str]) -> list[str]:
     while start > 0 and start > first and min(map(len, words[start:])) <= short:
         start -= 1
     return words[max(start, 0):]
-
-
-def _recency(r: float, n: int) -> tuple[list[float], float]:
-    """The weight r^(n-1-k) of word k of n, and the weights' sum."""
-    return [r ** (n - 1 - k) for k in range(n)], sum(r ** k for k in range(n))
 
 
 # what rounding can move a score by: scores, gains and their sums are each
@@ -216,8 +211,8 @@ class Engine:
         self._maxima = tuple(pack.maxima for pack in self.packs.values())
         self._lexicons = tuple(pack.lexicon for pack in self.packs.values())
         # recency weights and weight mass of every context length detect selects
-        self._recency = {
-            n: _recency(config.r, n) for n in range(1, config.max_context_extension + 1)
+        self._weights = {
+            n: recency_weights(config.r, n) for n in range(1, config.max_context_extension + 1)
         }
 
     @property
@@ -253,7 +248,8 @@ class Engine:
         """
         if not tokens:
             raise ValueError("empty context")
-        weights, mass = self._recency.get(len(tokens)) or _recency(self.config.r, len(tokens))
+        n = len(tokens)
+        weights, mass = self._weights.get(n) or recency_weights(self.config.r, n)
         head, last = tokens[:-1], tokens[-1]
         views = self._views
         scored = state.scored if state is not None else None
@@ -366,7 +362,7 @@ class Engine:
             return None
         current = state.current_language
         reach = LOG_HALF - _ROUNDING
-        mass = self._recency[len(tokens)][1]
+        mass = self._weights[len(tokens)][1]
         rescue = None
         deferred = []
         for i, (lang, _) in enumerate(self._taus):

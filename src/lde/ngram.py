@@ -74,10 +74,11 @@ _LETTER_TABLE = _dropping("NP")
 
 def _front_class(ch: str):
     kept = _STRIP_TABLE[ord(ch)]
-    return None if kept is None else kept.lower().translate(_LETTER_TABLE)
+    return (kept and kept.lower().translate(_LETTER_TABLE)) or None
 
 
-# the three steps of `strip_symbols`, one character at a time
+# the three steps of `strip_symbols`, one character at a time; a deleted
+# character maps to None, not "", which keeps `str.translate` on its fast path
 _FRONT_TABLE = _CharTable(_front_class)
 
 
@@ -196,19 +197,19 @@ class TrigramModel:
         return context_log_probs(self._views, (word,), (1.0,))[1][0]
 
     def sequence_log_prob(self, words: Sequence[str], r: float = DEFAULT_RECENCY) -> float:
-        """Recency-weighted sum of word log-probabilities.
-
-        Word k of n is weighted r^(n-1-k), so the trailing word always
-        counts in full and earlier words fade geometrically.
-        """
-        if not words:
-            raise ValueError("empty sequence")
-        if not 0.0 < r <= 1.0:
-            raise ValueError(f"recency factor must be in (0, 1], got {r}")
-        n = len(words)
-        weights = [r ** (n - 1 - k) for k in range(n)]
+        """Recency-weighted sum of word log-probabilities (`recency_weights`)."""
+        weights, _ = recency_weights(r, len(words))
         (head,), (last,) = context_log_probs(self._views, words, weights)
         return head + last
+
+
+def recency_weights(r: float, n: int) -> tuple[list[float], float]:
+    """The weight r^(n-1-k) of word k of n, and the weights' sum (the
+    weight mass): the trailing word counts in full and earlier words fade
+    geometrically.  `r` must be in (0, 1]."""
+    if not 0.0 < r <= 1.0:
+        raise ValueError(f"recency factor must be in (0, 1], got {r}")
+    return [r ** (n - 1 - k) for k in range(n)], sum(r ** k for k in range(n))
 
 
 # what `context_log_probs` reads of one model: (table, side, letter index,
@@ -248,15 +249,15 @@ def context_log_probs(
 ) -> tuple[list[float], list[float]]:
     """Every model's head and last for `words`, in one flat loop.
 
-    `weights[k]` is word k's recency weight, r^(n-1-k) for n words; the
-    caller computes the weights once per context length.  A model's head
-    is the weighted sum of the log-probabilities of every word but the
-    last, and its last is the last word's log-probability, whose weight
-    r^0 is 1, so `head + last` is the recency-weighted sum.  This is the
-    one walk of words through a table: `TrigramModel.word_log_prob` and
-    `sequence_log_prob` call it for one model, and detection for every
-    pack at once, with no call per pack or per word.  The weights are not
-    checked against `words` or against r's range.
+    `weights[k]` is word k's recency weight, r^(n-1-k) for n words, which
+    the caller takes from `recency_weights` once per context length.  A
+    model's head is the weighted sum of the log-probabilities of every word
+    but the last, and its last is the last word's log-probability, whose
+    weight r^0 is 1, so `head + last` is the recency-weighted sum.  This is
+    the one walk of words through a table: `TrigramModel.word_log_prob` and
+    `sequence_log_prob` call it for one model, and detection for every pack
+    at once, with no call per pack or per word.  The weights are not checked
+    against `words` or against r's range.
 
     A letter's flat table index is the one before it less its oldest
     symbol (modulo v * v), times v, plus the letter's.  A letter in no

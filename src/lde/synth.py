@@ -108,9 +108,10 @@ def share_loans(
         tail = src.vocabulary[len(src.vocabulary) // 3 :]
         loans = rng.sample(tail, k)
         insert_at = int(len(dst.vocabulary) * 0.9)
-        for word in loans:
-            if word not in dst.vocabulary:
-                dst.vocabulary.insert(insert_at, word)
+        known = set(dst.vocabulary)
+        new = [word for word in dict.fromkeys(loans) if word not in known]
+        # each new loan goes in ahead of the one drawn before it
+        dst.vocabulary[insert_at:insert_at] = new[::-1]
     for lang in (a, b):
         lang.weights = _zipf_weights(len(lang.vocabulary))
 

@@ -26,6 +26,7 @@ are in the index, so the pruning never drops a candidate.
 from __future__ import annotations
 
 import sys
+import unicodedata
 from collections import Counter
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping
@@ -247,6 +248,7 @@ def lexicon_from_lines(lines: Iterable[str], top_k: int = 50000) -> dict[str, in
 def load_lexicon(path) -> dict[str, int]:
     """Read a word<TAB>count lexicon file; a repeated word's counts are summed.
 
+    A word holds letters and marks only, as a word of `strip_symbols` does.
     The words come back as a plain dict: a `Trie`, with its letter-triple
     index, is built only when a pack is read."""
     weights: dict[str, int] = {}
@@ -260,6 +262,8 @@ def load_lexicon(path) -> dict[str, int]:
                 _add(weights, word, int(count))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: bad lexicon line {line!r}") from exc
+            if any(unicodedata.category(ch)[0] not in "LM" for ch in word):
+                raise ValueError(f"{path}:{line_no}: {word!r} holds more than letters and marks")
     return weights
 
 

@@ -187,6 +187,28 @@ class TestTrainSelector:
         assert code == 2
         assert "bad lexicon line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"language": "cc", "alphabet": " ab", "alpha": 0.5, "tab', '{"language": "cc", "alpha": 0.5}'],
+        ids=["truncated", "no-table"],
+    )
+    def test_corrupt_model_file_is_data_error(self, workspace, tmp_path, capsys, text):
+        # a truncated or broken model is no selector report to skip: skipping
+        # it would train aa's selector on bb's negatives alone
+        models = tmp_path / "models"
+        models.mkdir()
+        for name in ("aa.json", "bb.json", "aa.lex", "bb.lex", "aa.selector.json"):
+            (models / name).write_text((workspace["models"] / name).read_text(), encoding="utf-8")
+        (models / "cc.json").write_text(text, encoding="utf-8")
+        (models / "cc.lex").write_text((models / "bb.lex").read_text(), encoding="utf-8")
+        out = tmp_path / "aa.selector.json"
+        assert main([
+            "train-selector", "--models", str(models), "--lexicons", str(models),
+            "--lang", "aa", "--positives", "800", "--negatives", "800", "--out", str(out),
+        ]) == 2
+        assert "cc.json" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("option", ["--positives", "--negatives"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_count_below_one_is_a_usage_error(self, workspace, capsys, tmp_path, option, value):
@@ -262,6 +284,21 @@ class TestPack:
             "--out", str(out),
         ]) == 2
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lexicon_word_with_punctuation_is_data_error(self, workspace, tmp_path, capsys):
+        lexicon = tmp_path / "aa.lex"
+        lexicon.write_text("abc\t4\nhello!\t3\n", encoding="utf-8")
+        models = workspace["models"]
+        out = tmp_path / "x.ldep"
+        assert main([
+            "pack",
+            "--model", str(models / "aa.json"),
+            "--selector", str(models / "aa.selector.json"),
+            "--lexicon", str(lexicon),
+            "--out", str(out),
+        ]) == 2
+        assert "aa.lex:2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_two_words_on_a_noun_line_is_data_error(self, workspace, tmp_path, capsys):

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lde.engine
+import lde.ngram
 from ldebench import oracle
 from lde import (
     Engine,
@@ -68,6 +69,12 @@ class TestStripSymbols:
     @example("İstanbul 👍🏽")
     def test_matches_the_two_pass_reference(self, raw):
         assert strip_symbols(raw) == oracle.normalise(raw).split()
+
+    def test_deleted_characters_map_to_none(self):
+        # `str.translate` leaves its fast path for a mapping to ""
+        strip_symbols("it's 5 o'clock!")
+        assert lde.ngram._FRONT_TABLE[ord("!")] is None
+        assert lde.ngram._FRONT_TABLE[ord("5")] is None
 
 
 class TestContextTokens:

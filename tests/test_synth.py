@@ -1,5 +1,17 @@
+import copy
+import random
+
 from lde.ngram import strip_symbols
-from lde.synth import LATIN, corpus_lines, disjoint_pair, inter_sentences, intra_sentences, make_language
+from lde.synth import (
+    LATIN,
+    SyntheticLanguage,
+    corpus_lines,
+    disjoint_pair,
+    inter_sentences,
+    intra_sentences,
+    make_language,
+    share_loans,
+)
 
 
 def test_same_seed_same_language():
@@ -19,6 +31,44 @@ def test_loan_share_of_vocabulary():
     a, b = disjoint_pair(loan_fraction=0.10, vocab_size=2000, seed=4)
     shared = set(a.vocabulary) & set(b.vocabulary)
     assert 0.08 <= len(shared) / len(a.vocabulary) <= 0.25
+
+
+def _share_loans_one_by_one(a, b, fraction, seed):
+    """`share_loans` as a loop that tests and inserts each loan in turn."""
+    rng = random.Random(seed)
+    for src, dst in ((a, b), (b, a)):
+        k = int(len(src.vocabulary) * fraction)
+        loans = rng.sample(src.vocabulary[len(src.vocabulary) // 3 :], k)
+        insert_at = int(len(dst.vocabulary) * 0.9)
+        for word in loans:
+            if word not in dst.vocabulary:
+                dst.vocabulary.insert(insert_at, word)
+    for lang in (a, b):
+        lang.weights = [1.0 / (i + 1) ** 1.05 for i in range(len(lang.vocabulary))]
+
+
+def test_share_loans_matches_inserting_one_by_one():
+    # one seed draws the same words first, so half of b's vocabulary is
+    # a's, and many loans either way are already words of the other
+    for seed in range(6):
+        a = make_language("aa", "abcdefg", 300, seed=seed)
+        b = make_language("bb", "abcdefg", 150, seed=seed)
+        b.vocabulary += make_language("bb", "hijklmn", 150, seed=seed).vocabulary
+        assert len(set(a.vocabulary) & set(b.vocabulary)) == 150
+        expected = copy.deepcopy((a, b))
+        _share_loans_one_by_one(*expected, fraction=0.3, seed=seed)
+        share_loans(a, b, fraction=0.3, seed=seed)
+        assert (a, b) == expected
+
+
+def test_share_loans_skips_a_repeated_loan():
+    words = ["ka", "ke", "ki", "ko", "ku", "ka", "ke", "ki", "ko", "ku"]
+    a = SyntheticLanguage("aa", "keiou", words * 3, [1.0] * 30)
+    b = SyntheticLanguage("bb", "mnpq", ["mn", "pq"] * 5, [1.0] * 10)
+    expected = copy.deepcopy((a, b))
+    _share_loans_one_by_one(*expected, fraction=0.5, seed=1)
+    share_loans(a, b, fraction=0.5, seed=1)
+    assert (a, b) == expected
 
 
 def test_corpus_lines_are_normalized():

@@ -397,6 +397,21 @@ class TestLexiconFiles:
         with pytest.raises(ValueError, match="bad.lex:1"):
             load_lexicon(path)
 
+    @pytest.mark.parametrize("line", ["New York\t5", "hello!\t3", "route66\t2", "hi😀\t1"])
+    def test_lexicon_refuses_what_is_not_a_typed_word(self, tmp_path, line):
+        # `strip_symbols` never gives such a word, so detection could never look it up
+        path = tmp_path / "x.lex"
+        path.write_text(f"kal\t2\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="x.lex:2"):
+            load_lexicon(path)
+
+    def test_lexicon_keeps_marks(self, tmp_path):
+        # lowercasing İ gives i and a combining dot, a word `strip_symbols` gives
+        path = tmp_path / "x.lex"
+        hindi = "\u0939\u093f\u0928\u094d\u0926\u0940"
+        path.write_text(f"i\u0307zmir\t4\n{hindi}\t2\n", encoding="utf-8")
+        assert load_lexicon(path) == {"i\u0307zmir": 4, hindi: 2}
+
     def test_word_list_case_insensitive(self, tmp_path):
         path = tmp_path / "nouns.txt"
         path.write_text("Paris\nDELHI\n", encoding="utf-8")
