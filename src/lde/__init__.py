@@ -21,7 +21,6 @@ from .evaluation import (
     eval_inter,
     eval_intra,
     read_tagged_tsv,
-    write_tagged_tsv,
 )
 from .ngram import (
     Alphabet,
@@ -38,7 +37,6 @@ from .pack import (
     PackError,
     PackVersionError,
     TruncatedPackError,
-    make_pack,
     read_pack,
     write_pack,
 )

@@ -99,9 +99,6 @@ def cmd_train_ngram(args) -> int:
     lines = _read_lines(args.corpus)
     heldout = [line for i, line in enumerate(lines) if i % 20 == 19]
     training = [line for i, line in enumerate(lines) if i % 20 != 19]
-    if not training:
-        raise ValueError("empty corpus")
-
     alphabet = build_alphabet(training, max_symbols=args.alphabet_size)
     model = train_trigram(training, alphabet, args.alpha, language=args.lang)
     _save_model_json(model, args.out)
@@ -147,14 +144,10 @@ def _discover_models(models_dir: str) -> dict[str, TrigramModel]:
 
 def cmd_train_selector(args) -> int:
     models = _discover_models(args.models)
-    if args.lang not in models:
-        raise ValueError(f"no model for language {args.lang!r} in {args.models}")
-    lexicons = {}
-    for lang in models:
-        lex_path = Path(args.lexicons) / f"{lang}.lex"
-        if not lex_path.exists():
-            raise ValueError(f"missing lexicon {lex_path}")
-        lexicons[lang] = [word for word, _ in ranked(load_lexicon(lex_path))]
+    lexicons = {
+        lang: [word for word, _ in ranked(load_lexicon(Path(args.lexicons) / f"{lang}.lex"))]
+        for lang in models
+    }
 
     rows = build_training_set(
         lexicons, models, args.lang, args.positives, args.negatives
@@ -189,12 +182,7 @@ def _load_selector_json(path) -> SelectorParams:
 
 def cmd_pack(args) -> int:
     model = _model_from_json(_read_json(args.model), args.model)
-    params = _load_selector_json(args.selector)
-    if params.language != model.language:
-        raise ValueError(
-            f"selector is for {params.language!r}, model for {model.language!r}"
-        )
-    threshold = reduce_parameters(params)
+    threshold = reduce_parameters(_load_selector_json(args.selector))
     lexicon = load_lexicon(args.lexicon)
     pronouns = load_word_list(args.pronouns) if args.pronouns else ()
     sizes = write_pack(model, threshold, lexicon, args.out, proper_nouns=pronouns)
@@ -221,9 +209,6 @@ def _load_packs(packs_dir: str, langs: list[str] | None) -> dict[Path, LanguageP
             raise ValueError(f"no .ldep packs in {packs_dir}")
     else:
         paths = [pack_dir / f"{lang}.ldep" for lang in langs]
-        for path in paths:
-            if not path.exists():
-                raise ValueError(f"missing pack {path}")
     return {path: read_pack(path) for path in paths}
 
 
@@ -233,8 +218,6 @@ def _load_engine(args) -> tuple[Engine, dict[str, int]]:
     langs = None
     if args.langs is not None:
         langs = [code.strip() for code in args.langs.split(",") if code.strip()]
-        if not langs:
-            raise ValueError("empty --langs list")
     loaded = _load_packs(args.packs, langs)
     packs = list(loaded.values())
     config = EngineConfig(languages=langs or [pack.language for pack in packs], r=args.r)

@@ -194,11 +194,3 @@ def read_tagged_tsv(path) -> list[TaggedSentence]:
     if current:
         sentences.append(TaggedSentence(id=current_id, tokens=current))
     return sentences
-
-
-def write_tagged_tsv(sentences: Iterable[TaggedSentence], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sentence in sentences:
-            for word, gold in sentence.tokens:
-                fh.write(f"{sentence.id}\t{word}\t{gold}\n")
-            fh.write("\n")

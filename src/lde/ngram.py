@@ -133,9 +133,6 @@ class Alphabet:
         """Number of table slots per axis: the symbols plus the oov slot."""
         return len(self.symbols) + 1
 
-    def index_of(self, ch: str) -> int:
-        return self._index.get(ch, len(self.symbols))
-
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -413,8 +410,8 @@ def train_trigram(
     into the (space, space) context row.  Additive smoothing with `smoothing_alpha`
     keeps every row finite and summing to one.
     """
-    if smoothing_alpha <= 0:
-        raise ValueError("smoothing_alpha must be positive")
+    if not 0 < smoothing_alpha < math.inf:  # NaN and inf give NaN rows
+        raise ValueError(f"smoothing_alpha must be positive and finite, got {smoothing_alpha}")
 
     v = alphabet.size
     counts = [0] * (v * v * v)

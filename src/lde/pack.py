@@ -103,13 +103,6 @@ def _pack_str(text: str) -> bytes:
     return struct.pack("<H", len(data)) + data
 
 
-def _check_language(model: TrigramModel, tau: Threshold) -> None:
-    if model.language != tau.language:
-        raise PackError(
-            f"language mismatch: model {model.language!r} vs threshold {tau.language!r}"
-        )
-
-
 def _check_finite(
     error: type[PackError], alpha: float, lo: float, scale: float, tau: float
 ) -> None:
@@ -138,7 +131,10 @@ def write_pack(
     """
     if not model.language:
         raise PackError("model has no language code")
-    _check_language(model, tau)
+    if model.language != tau.language:
+        raise PackError(
+            f"language mismatch: model {model.language!r} vs threshold {tau.language!r}"
+        )
     # checked before quantizing, which would cast a NaN to an integer
     table = np.asarray(model.table, dtype=np.float64)
     lo, hi = float(table.min()), float(table.max())
@@ -334,22 +330,4 @@ def read_pack(path) -> LanguagePack:
         lexicon=Trie(weights),
         proper_nouns=frozenset(nouns),
         maxima=trigram_maxima(cube, v),
-    )
-
-
-def make_pack(
-    model: TrigramModel,
-    tau: Threshold,
-    lexicon: Trie | None = None,
-    proper_nouns: Iterable[str] = (),
-) -> LanguagePack:
-    """Assemble an in-memory pack without touching disk (no quantization)."""
-    _check_language(model, tau)
-    return LanguagePack(
-        language=model.language,
-        model=model,
-        tau=tau.tau,
-        lexicon=lexicon if lexicon is not None else Trie(),
-        proper_nouns=frozenset(proper_nouns),
-        maxima=trigram_maxima(model.table, model.alphabet.size),
     )

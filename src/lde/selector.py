@@ -138,7 +138,7 @@ def train_selector(
     b = b - w * mean / std
     w = w / std
 
-    if w <= 0.0:
+    if not w > 0.0:  # a NaN feature gives a NaN fit
         raise ValueError("selector degenerate")
 
     z = np.clip(w * x_raw + b, -500.0, 500.0)
@@ -151,8 +151,8 @@ def train_selector(
 
 def reduce_parameters(params: SelectorParams) -> Threshold:
     """Collapse (w, b) into the single per-language threshold tau."""
-    if params.weight <= 0.0:
-        raise ValueError("weight must be positive to reduce")
+    if not 0.0 < params.weight < math.inf:  # a NaN or infinite weight gives a NaN tau
+        raise ValueError(f"selector weight {params.weight} is non-finite or not positive")
     tau = ((params.weight - 1.0) * math.log(2.0) - params.bias) / params.weight
     return Threshold(language=params.language, tau=tau)
 

@@ -1,19 +1,19 @@
-"""Seeded synthetic languages for tests, CI and demos.
+"""Seeded synthetic languages for the benchmark, tests and demos.
 
 Real code-switched corpora with word-level gold labels are hand-written by
 linguists and not shippable, so the repo carries a generator instead: each
 synthetic language draws words from its own weighted character profile,
 optionally sharing a slice of loan vocabulary with another language, and
-emits monolingual training corpora plus word-tagged code-switched test
-sentences.  Everything is a pure function of the seeds.
+emits monolingual training corpora.  The word-tagged code-switched test
+sets drawn from these languages are built in `tests/conftest.py`, and the
+benchmark's typing sessions in `ldebench/workloads.py`.  Everything is a
+pure function of the seeds.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-from .evaluation import TaggedSentence
 
 LATIN = "abcdefghijklmnopqrstuvwxyz"
 
@@ -116,11 +116,8 @@ def share_loans(
         lang.weights = _zipf_weights(len(lang.vocabulary))
 
 
-# words in a corpus line, and in a test sentence (both bounds included)
+# words in a corpus line (both bounds included)
 WORDS_PER_LINE = (3, 9)
-SENTENCE_LEN = (4, 10)
-# the chance that a code-switched sentence switches between adjacent words
-SWITCH_PROB = 0.3
 
 
 def corpus_lines(lang: SyntheticLanguage, n_lines: int, seed: int = 0) -> list[str]:
@@ -131,43 +128,6 @@ def corpus_lines(lang: SyntheticLanguage, n_lines: int, seed: int = 0) -> list[s
         n = rng.randint(*WORDS_PER_LINE)
         lines.append(" ".join(lang.sample_words(rng, n)))
     return lines
-
-
-def intra_sentences(
-    a: SyntheticLanguage, b: SyntheticLanguage, n_sentences: int, seed: int = 0
-) -> list[TaggedSentence]:
-    """Code-switched sentences with word-level gold labels.
-
-    The language switches between adjacent words with `SWITCH_PROB`; every
-    word's gold label is the language of the run it was sampled from.
-    """
-    rng = random.Random(seed)
-    sentences = []
-    for i in range(n_sentences):
-        current = rng.choice((a, b))
-        tokens = []
-        for _ in range(rng.randint(*SENTENCE_LEN)):
-            if tokens and rng.random() < SWITCH_PROB:
-                current = b if current is a else a
-            tokens.append((current.sample_words(rng, 1)[0], current.code))
-        sentences.append(TaggedSentence(id=f"intra-{i:05d}", tokens=tokens))
-    return sentences
-
-
-def inter_sentences(
-    a: SyntheticLanguage, b: SyntheticLanguage, n_sentences: int, seed: int = 0
-) -> list[TaggedSentence]:
-    """Monolingual sentences, language switching only between sentences."""
-    rng = random.Random(seed)
-    sentences = []
-    for i in range(n_sentences):
-        lang = rng.choice((a, b))
-        tokens = [
-            (word, lang.code)
-            for word in lang.sample_words(rng, rng.randint(*SENTENCE_LEN))
-        ]
-        sentences.append(TaggedSentence(id=f"inter-{i:05d}", tokens=tokens))
-    return sentences
 
 
 def disjoint_pair(

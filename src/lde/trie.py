@@ -248,9 +248,9 @@ def lexicon_from_lines(lines: Iterable[str], top_k: int = 50000) -> dict[str, in
 def load_lexicon(path) -> dict[str, int]:
     """Read a word<TAB>count lexicon file; a repeated word's counts are summed.
 
-    A word holds letters and marks only, as a word of `strip_symbols` does.
-    The words come back as a plain dict: a `Trie`, with its letter-triple
-    index, is built only when a pack is read."""
+    A word holds lowercase letters and marks only, as a word of
+    `strip_symbols` does.  The words come back as a plain dict: a `Trie`,
+    with its letter-triple index, is built only when a pack is read."""
     weights: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -262,8 +262,8 @@ def load_lexicon(path) -> dict[str, int]:
                 _add(weights, word, int(count))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: bad lexicon line {line!r}") from exc
-            if any(unicodedata.category(ch)[0] not in "LM" for ch in word):
-                raise ValueError(f"{path}:{line_no}: {word!r} holds more than letters and marks")
+            if word != word.lower() or any(unicodedata.category(ch)[0] not in "LM" for ch in word):
+                raise ValueError(f"{path}:{line_no}: {word!r} is not lowercase letters and marks")
     return weights
 
 

@@ -16,22 +16,21 @@ from lde import (
     EngineConfig,
     LanguagePack,
     SelectorParams,
+    TaggedSentence,
     Threshold,
     TrigramModel,
     build_alphabet,
     build_training_set,
-    make_pack,
     reduce_parameters,
     train_selector,
     train_trigram,
 )
-from lde.ngram import Alphabet
+from lde.ngram import Alphabet, trigram_maxima
 from lde.synth import (
     LATIN,
     SyntheticLanguage,
     corpus_lines,
     disjoint_pair,
-    intra_sentences,
     make_language,
 )
 from lde.trie import Trie, trie_from_pairs, word_frequencies
@@ -66,6 +65,11 @@ def one_edit(word: str, letters: str):
                 yield word[:i] + ch + word[i + 1 :]
 
 
+def index_of(alphabet: Alphabet, ch: str) -> int:
+    """The table index of `ch` in `alphabet`: its symbol's, else `oov`."""
+    return alphabet.symbols.index(ch) if ch in alphabet.symbols else alphabet.oov
+
+
 def model_from_probs(
     alphabet: Alphabet,
     default_p: float,
@@ -79,7 +83,7 @@ def model_from_probs(
     v = alphabet.size
     table = [math.log(default_p)] * (v * v * v)
     for (c2, c1, c0), p in (overrides or {}).items():
-        i = (alphabet.index_of(c2) * v + alphabet.index_of(c1)) * v + alphabet.index_of(c0)
+        i = (index_of(alphabet, c2) * v + index_of(alphabet, c1)) * v + index_of(alphabet, c0)
         table[i] = math.log(p)
     return TrigramModel(language=language, alphabet=alphabet, table=table, alpha=0.5)
 
@@ -102,11 +106,22 @@ def walk_log_prob(model: TrigramModel, words, r: float = 1.0) -> float:
         prev2 = prev1 = 0
         word_total = 0.0
         for ch in word:
-            cur = model.alphabet.index_of(ch)
+            cur = index_of(model.alphabet, ch)
             word_total += entry(model, prev2, prev1, cur)
             prev2, prev1 = prev1, cur
         total += r ** (n - 1 - k) * word_total
     return total
+
+
+def make_pack(
+    model: TrigramModel, tau: Threshold, lexicon: Trie | None = None, proper_nouns=()
+) -> LanguagePack:
+    """An in-memory pack of the float model itself, unquantized, so that a
+    test can pin a walk of its table exactly; `read_pack` gives packs
+    with the table quantized."""
+    lexicon = Trie() if lexicon is None else lexicon
+    maxima = trigram_maxima(model.table, model.alphabet.size)
+    return LanguagePack(model.language, model, tau.tau, lexicon, frozenset(proper_nouns), maxima)
 
 
 def simple_pack(model: TrigramModel, tau: float, lexicon_words=(), pronouns=()) -> LanguagePack:
@@ -114,6 +129,58 @@ def simple_pack(model: TrigramModel, tau: float, lexicon_words=(), pronouns=()) 
     return make_pack(
         model, Threshold(language=model.language, tau=tau), lexicon, pronouns
     )
+
+
+# words in a test sentence (both bounds included), and the chance that a
+# code-switched sentence switches language between adjacent words
+SENTENCE_LEN = (4, 10)
+SWITCH_PROB = 0.3
+
+
+def intra_sentences(
+    a: SyntheticLanguage, b: SyntheticLanguage, n_sentences: int, seed: int = 0
+) -> list[TaggedSentence]:
+    """Code-switched sentences with word-level gold labels.
+
+    The language switches between adjacent words with `SWITCH_PROB`; every
+    word's gold label is the language of the run it was sampled from.
+    """
+    rng = random.Random(seed)
+    sentences = []
+    for i in range(n_sentences):
+        current = rng.choice((a, b))
+        tokens = []
+        for _ in range(rng.randint(*SENTENCE_LEN)):
+            if tokens and rng.random() < SWITCH_PROB:
+                current = b if current is a else a
+            tokens.append((current.sample_words(rng, 1)[0], current.code))
+        sentences.append(TaggedSentence(id=f"intra-{i:05d}", tokens=tokens))
+    return sentences
+
+
+def inter_sentences(
+    a: SyntheticLanguage, b: SyntheticLanguage, n_sentences: int, seed: int = 0
+) -> list[TaggedSentence]:
+    """Monolingual sentences, language switching only between sentences."""
+    rng = random.Random(seed)
+    sentences = []
+    for i in range(n_sentences):
+        lang = rng.choice((a, b))
+        tokens = [
+            (word, lang.code)
+            for word in lang.sample_words(rng, rng.randint(*SENTENCE_LEN))
+        ]
+        sentences.append(TaggedSentence(id=f"inter-{i:05d}", tokens=tokens))
+    return sentences
+
+
+def write_tagged_tsv(sentences, path) -> None:
+    """Write a test set in the layout `lde.evaluation.read_tagged_tsv` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for sentence in sentences:
+            for word, gold in sentence.tokens:
+                fh.write(f"{sentence.id}\t{word}\t{gold}\n")
+            fh.write("\n")
 
 
 @pytest.fixture()

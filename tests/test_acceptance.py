@@ -31,7 +31,6 @@ from lde import (
     TruncatedPackError,
     eval_intra,
     lexicon_from_lines,
-    make_pack,
     read_pack,
     train_trigram,
     write_pack,
@@ -41,7 +40,7 @@ from lde.pack import MAGIC
 from lde.synth import LATIN, corpus_lines, make_language
 from lde.trie import Trie, trie_from_pairs
 
-from conftest import entry, model_from_probs, simple_pack
+from conftest import entry, make_pack, model_from_probs, simple_pack
 
 LOG_HALF = math.log(0.5)
 

@@ -1,13 +1,15 @@
 import io
 import json
+import math
 
 import pytest
 
 import lde.cli
 from lde.cli import main, percentile
 from lde.pack import read_pack
-from lde.evaluation import write_tagged_tsv
-from lde.synth import corpus_lines, disjoint_pair, intra_sentences
+from lde.synth import corpus_lines, disjoint_pair
+
+from conftest import intra_sentences, write_tagged_tsv
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +87,6 @@ class TestTrainNgram:
     def test_three_synthetic_languages_train_with_finite_perplexity(
         self, workspace, capsys, tmp_path
     ):
-        import math
 
         from lde.synth import LATIN, corpus_lines, make_language
 
@@ -119,6 +120,18 @@ class TestTrainNgram:
             "train-ngram", "--corpus", str(corpus),
             "--lang", "aa", "--out", str(tmp_path / "x.json"),
         ]) == 2
+        assert "empty corpus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_is_data_error(self, workspace, tmp_path, capsys, alpha):
+        # either gives NaN rows, which a selector trained on them would carry into tau
+        out = tmp_path / "aa.json"
+        assert main([
+            "train-ngram", "--corpus", str(workspace["root"] / "aa.txt"),
+            "--lang", "aa", "--alpha", alpha, "--out", str(out),
+        ]) == 2
+        assert "smoothing_alpha" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["train-ngram", "--lang", "aa"]) == 1
@@ -186,6 +199,49 @@ class TestTrainSelector:
         ])
         assert code == 2
         assert "bad lexicon line" in capsys.readouterr().err
+
+    def test_missing_lexicon_is_data_error(self, workspace, tmp_path, capsys):
+        lexicons = tmp_path / "lexicons"
+        lexicons.mkdir()
+        models = workspace["models"]
+        (lexicons / "aa.lex").write_text((models / "aa.lex").read_text(), encoding="utf-8")
+        out = tmp_path / "x.json"
+        assert main([
+            "train-selector", "--models", str(models), "--lexicons", str(lexicons),
+            "--lang", "aa", "--positives", "800", "--negatives", "800", "--out", str(out),
+        ]) == 2
+        assert str(lexicons / "bb.lex") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_language_is_data_error(self, workspace, tmp_path, capsys):
+        models = workspace["models"]
+        out = tmp_path / "x.json"
+        assert main([
+            "train-selector", "--models", str(models), "--lexicons", str(models),
+            "--lang", "zz", "--positives", "800", "--negatives", "800", "--out", str(out),
+        ]) == 2
+        assert "'zz'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_model_entry_is_data_error(self, workspace, tmp_path, capsys):
+        # a word scored through the NaN entry gives a NaN fit, which a
+        # `w <= 0` test let through, and tau NaN with it
+        models = tmp_path / "models"
+        models.mkdir()
+        for name in ("aa.json", "bb.json", "aa.lex", "bb.lex"):
+            (models / name).write_text((workspace["models"] / name).read_text(), encoding="utf-8")
+        doc = json.loads((models / "aa.json").read_text())
+        top_word = (models / "aa.lex").read_text().split("\t")[0]
+        # the entry of the top word's first letter, read after two spaces
+        doc["table"][doc["alphabet"].index(top_word[0])] = math.nan
+        (models / "aa.json").write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "x.json"
+        assert main([
+            "train-selector", "--models", str(models), "--lexicons", str(models),
+            "--lang", "aa", "--positives", "800", "--negatives", "800", "--out", str(out),
+        ]) == 2
+        assert "degenerate" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "text",
@@ -257,6 +313,8 @@ class TestPack:
             "--lexicon", str(models / "aa.lex"),
             "--out", str(tmp_path / "x.ldep"),
         ]) == 2
+        assert "model 'aa' vs threshold 'bb'" in capsys.readouterr().err
+        assert not (tmp_path / "x.ldep").exists()
 
     def test_out_of_range_weight_is_data_error(self, workspace, tmp_path, capsys):
         lexicon = tmp_path / "aa.lex"
@@ -371,6 +429,11 @@ class TestDetect:
         assert main([
             "detect", "--packs", str(workspace["packs"]), "--langs", "aa,zz",
         ]) == 2
+        assert str(workspace["packs"] / "zz.ldep") in capsys.readouterr().err
+
+    def test_empty_langs_list_is_data_error(self, workspace, capsys):
+        assert main(["detect", "--packs", str(workspace["packs"]), "--langs", " , "]) == 2
+        assert "need at least one language" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -16,15 +16,22 @@ from lde import (
     Threshold,
     TrigramModel,
     context_tokens,
-    make_pack,
     strip_symbols,
 )
 from lde.ngram import Alphabet
 from lde.selector import LOG_HALF, select_language
-from lde.synth import LATIN, intra_sentences
+from lde.synth import LATIN
 from lde.trie import Trie
 
-from conftest import levenshtein, model_from_probs, one_edit, simple_pack, walk_log_prob
+from conftest import (
+    intra_sentences,
+    levenshtein,
+    make_pack,
+    model_from_probs,
+    one_edit,
+    simple_pack,
+    walk_log_prob,
+)
 
 
 # what a keyboard sends: U+0020-U+2FFF, emoji with skin tones and joiners,

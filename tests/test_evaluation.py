@@ -10,12 +10,11 @@ from lde import (
     eval_inter,
     eval_intra,
     read_tagged_tsv,
-    write_tagged_tsv,
 )
 from lde.evaluation import majority_label
 from lde.ngram import Alphabet
 
-from conftest import model_from_probs, simple_pack
+from conftest import model_from_probs, simple_pack, write_tagged_tsv
 
 ALPHABET = Alphabet(tuple(" abmn"))
 

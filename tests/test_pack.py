@@ -23,7 +23,6 @@ from lde import (
     build_alphabet,
     lexicon_from_lines,
     load_word_list,
-    make_pack,
     read_pack,
     train_trigram,
     write_pack,
@@ -32,7 +31,7 @@ from lde.ngram import Alphabet, trigram_maxima
 from lde.pack import MAGIC, MAX_PAYLOAD, quantize_table
 from lde.trie import Trie, trie_from_pairs
 
-from conftest import model_from_probs
+from conftest import make_pack, model_from_probs
 
 
 @pytest.fixture()
@@ -155,11 +154,6 @@ class TestRoundTrip:
         model, _, lexicon, _ = sample_inputs
         with pytest.raises(PackError, match="mismatch"):
             write_pack(model, Threshold("yy", -1.0), lexicon, tmp_path / "x.ldep")
-
-    def test_make_pack_language_mismatch(self, sample_inputs):
-        model, _, lexicon, _ = sample_inputs
-        with pytest.raises(PackError, match="mismatch"):
-            make_pack(model, Threshold("yy", -1.0), lexicon)
 
     @pytest.mark.parametrize("weight", [-1, 2**32])
     def test_out_of_range_weight_rejected(self, sample_inputs, tmp_path, weight):

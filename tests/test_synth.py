@@ -7,11 +7,11 @@ from lde.synth import (
     SyntheticLanguage,
     corpus_lines,
     disjoint_pair,
-    inter_sentences,
-    intra_sentences,
     make_language,
     share_loans,
 )
+
+from conftest import inter_sentences, intra_sentences
 
 
 def test_same_seed_same_language():

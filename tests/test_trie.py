@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lde.ngram import strip_symbols
 from lde.trie import (
     ANYWHERE,
     Trie,
@@ -397,9 +398,12 @@ class TestLexiconFiles:
         with pytest.raises(ValueError, match="bad.lex:1"):
             load_lexicon(path)
 
-    @pytest.mark.parametrize("line", ["New York\t5", "hello!\t3", "route66\t2", "hi😀\t1"])
+    @pytest.mark.parametrize(
+        "line", ["New York\t5", "hello!\t3", "route66\t2", "hi😀\t1", "Hello\t3"]
+    )
     def test_lexicon_refuses_what_is_not_a_typed_word(self, tmp_path, line):
-        # `strip_symbols` never gives such a word, so detection could never look it up
+        # `strip_symbols` never gives such a word (it lowercases), so detection
+        # could never look it up
         path = tmp_path / "x.lex"
         path.write_text(f"kal\t2\n{line}\n", encoding="utf-8")
         with pytest.raises(ValueError, match="x.lex:2"):
@@ -411,6 +415,15 @@ class TestLexiconFiles:
         hindi = "\u0939\u093f\u0928\u094d\u0926\u0940"
         path.write_text(f"i\u0307zmir\t4\n{hindi}\t2\n", encoding="utf-8")
         assert load_lexicon(path) == {"i\u0307zmir": 4, hindi: 2}
+
+    def test_lexicon_keeps_what_the_front_end_lowercases(self, tmp_path):
+        # a final sigma, an eszett and a dotted i each stay as lowercasing left them
+        typed = ("\u0130zmir", "\u03a3\u039f\u03a6\u039f\u03a3", "Stra\u00dfe")
+        words = [strip_symbols(raw)[0] for raw in typed]
+        assert words == ["i\u0307zmir", "\u03c3\u03bf\u03c6\u03bf\u03c2", "stra\u00dfe"]
+        path = tmp_path / "x.lex"
+        path.write_text("".join(f"{word}\t1\n" for word in words), encoding="utf-8")
+        assert load_lexicon(path) == dict.fromkeys(words, 1)
 
     def test_word_list_case_insensitive(self, tmp_path):
         path = tmp_path / "nouns.txt"
