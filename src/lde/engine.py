@@ -58,6 +58,11 @@ from .selector import LOG_HALF, select_language
 from .trie import ANYWHERE
 
 
+CONTEXT_WINDOW = 2
+SHORT_TOKEN_LEN = 2
+MAX_CONTEXT_EXTENSION = 4
+
+
 @dataclass
 class EngineConfig:
     """Tunables for one engine instance.
@@ -66,14 +71,14 @@ class EngineConfig:
     language and doubles as the initial session language.  The context
     is the last `context_window` words, extended past words of at most
     `short_token_len` letters up to `max_context_extension` words; these
-    three are constants, not fields.
+    three are the module's constants, not fields.
     """
 
     languages: Sequence[str]
     r: float = DEFAULT_RECENCY
-    context_window: ClassVar[int] = 2
-    short_token_len: ClassVar[int] = 2
-    max_context_extension: ClassVar[int] = 4
+    context_window: ClassVar[int] = CONTEXT_WINDOW
+    short_token_len: ClassVar[int] = SHORT_TOKEN_LEN
+    max_context_extension: ClassVar[int] = MAX_CONTEXT_EXTENSION
 
     def __post_init__(self):
         self.languages = tuple(self.languages)
@@ -87,16 +92,16 @@ class EngineConfig:
 def context_tokens(words: list[str]) -> list[str]:
     """Select the detection context from the words `strip_symbols` gives.
 
-    Takes the last `EngineConfig.context_window` words, then keeps
-    prepending earlier words while any selected word is short (at most
-    `short_token_len` letters), up to `max_context_extension` words total.
+    Takes the last `CONTEXT_WINDOW` words, or the last `MAX_CONTEXT_EXTENSION`
+    when one of those is short (at most `SHORT_TOKEN_LEN` letters): what
+    prepending earlier words while any selected word is short gives.
     """
-    start = len(words) - EngineConfig.context_window
-    first = len(words) - EngineConfig.max_context_extension
-    short = EngineConfig.short_token_len
-    while start > 0 and start > first and min(map(len, words[start:])) <= short:
-        start -= 1
-    return words[max(start, 0):]
+    tail = words[-CONTEXT_WINDOW:]
+    if len(words) > CONTEXT_WINDOW:
+        for word in tail:
+            if len(word) <= SHORT_TOKEN_LEN:
+                return words[-MAX_CONTEXT_EXTENSION:]
+    return tail
 
 
 # what rounding can move a score by: scores, gains and their sums are each
@@ -148,8 +153,9 @@ class LruCache:
         return value
 
     def put(self, key, value) -> None:
+        if key in self._items:  # a new key is appended last already
+            self._items.move_to_end(key)
         self._items[key] = value
-        self._items.move_to_end(key)
         if len(self._items) > self.capacity:
             self._items.popitem(last=False)
 
@@ -169,8 +175,8 @@ class EngineState:
     with their engine, so another engine never reuses them.
     """
 
-    # context -> (language it depends on or None, CACHE_HIT Detection,
-    # what score_context recorded for the context)
+    # context -> [language it depends on or None, the normal or fallback Detection
+    # computed (its first hit's CACHE_HIT copy after that), score_context's record]
     cache: LruCache
     current_language: str
     # full scorings, each reading every pack's table: one per detect that
@@ -295,6 +301,8 @@ class Engine:
         cached = state.cache.get(key)
         if cached is not None and cached[0] in (None, current):
             hit = cached[1]
+            if hit.path is not DetectionPath.CACHE_HIT:  # the entry's first hit
+                hit = cached[1] = Detection(hit.language, hit.scores, DetectionPath.CACHE_HIT)
             state.current_language = hit.language
             # the next keystroke extends this context, not the one last scored
             state.scored = cached[2]
@@ -316,9 +324,8 @@ class Engine:
         # rescue is not kept, since a cache hit carries no correction
         path = detection.path
         if path is not DetectionPath.TYPO_RESCUE:
-            hit = Detection(detection.language, detection.scores, DetectionPath.CACHE_HIT)
             depends = None if path is DetectionPath.NORMAL else current
-            state.cache.put(key, (depends, hit, state.scored))
+            state.cache.put(key, [depends, detection, state.scored])
         state.current_language = detection.language
         if noun:
             return Detection(detection.language, detection.scores, DetectionPath.PROPER_NOUN)

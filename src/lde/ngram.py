@@ -80,6 +80,9 @@ def _front_class(ch: str):
 # the three steps of `strip_symbols`, one character at a time; a deleted
 # character maps to None, not "", which keeps `str.translate` on its fast path
 _FRONT_TABLE = _CharTable(_front_class)
+# the same rule over ASCII, as the bytes it deletes and a map of the rest
+_ASCII_DELETE = bytes(c for c in range(128) if _front_class(chr(c)) is None)
+_ASCII_MAP = bytes(ord(_front_class(chr(c)) or " ") for c in range(128)) + bytes(range(128, 256))
 
 
 def strip_symbols(raw: str) -> list[str]:
@@ -90,9 +93,12 @@ def strip_symbols(raw: str) -> list[str]:
     One pass through `_FRONT_TABLE` gives what the three steps give,
     except for `Σ`: lowercasing a whole string turns a word-final `Σ`
     into `ς`, which no per-character table can do, so a text holding one
-    takes the three passes.  Not idempotent: `İ` lowercases to `i` and a
-    combining dot, which a second pass drops.
+    takes the three passes.  ASCII text takes the byte tables made from
+    the same rule, about half the time.  Not idempotent: `İ` lowercases
+    to `i` and a combining dot, which a second pass drops.
     """
+    if raw.isascii():
+        return raw.encode().translate(_ASCII_MAP, _ASCII_DELETE).decode().split()
     if "Σ" in raw:
         return raw.translate(_STRIP_TABLE).lower().translate(_LETTER_TABLE).split()
     return raw.translate(_FRONT_TABLE).split()

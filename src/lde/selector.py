@@ -107,6 +107,8 @@ def train_selector(
         raise ValueError("empty training set")
     if y.min() == y.max():
         raise ValueError("single-class training set")
+    if not np.isfinite(x_raw).all():  # NaN would run every epoch to a NaN fit
+        raise ValueError(f"selector degenerate for {language!r}: a model entry is non-finite")
 
     # Descent runs on centered/scaled features purely for conditioning
     # (log-prob features sit far from zero); the fitted line is refolded
@@ -138,7 +140,7 @@ def train_selector(
     b = b - w * mean / std
     w = w / std
 
-    if not w > 0.0:  # a NaN feature gives a NaN fit
+    if not w > 0.0:  # a NaN fit fails this test too
         raise ValueError("selector degenerate")
 
     z = np.clip(w * x_raw + b, -500.0, 500.0)

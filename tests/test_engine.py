@@ -83,6 +83,32 @@ class TestStripSymbols:
         assert lde.ngram._FRONT_TABLE[ord("!")] is None
         assert lde.ngram._FRONT_TABLE[ord("5")] is None
 
+    def test_ascii_path_matches_the_table(self):
+        # ASCII text takes byte tables; they must keep `_FRONT_TABLE`'s rule
+        for code in range(128):
+            for raw in (chr(code), f"a{chr(code)}b", f"Ab{chr(code)}Cd"):
+                expected = raw.translate(lde.ngram._FRONT_TABLE).split()
+                assert strip_symbols(raw) == expected, hex(code)
+
+    @given(raw=st.text(st.characters(max_codepoint=127), max_size=24))
+    @example("a\x1cb\x1dc\x1ed\x1fe")  # `str.split` whitespace that `bytes.split` is not
+    @example("It's 5 O'Clock!\t\x0bok\r\n")
+    def test_ascii_text_matches_the_table(self, raw):
+        assert raw.isascii()
+        assert strip_symbols(raw) == raw.translate(lde.ngram._FRONT_TABLE).split()
+
+    @pytest.mark.parametrize(
+        "raw, words",
+        [
+            ("see you 😂😂", ["see", "you"]),
+            ("İzmir", ["i\u0307zmir"]),
+            ("ΟΔΟΣ ok", ["οδος", "ok"]),
+            ("Naïve CAFÉ!", ["naïve", "café"]),
+        ],
+    )
+    def test_non_ascii_text_keeps_its_words(self, raw, words):
+        assert strip_symbols(raw) == words
+
 
 class TestContextTokens:
     def test_last_two(self):
@@ -181,6 +207,16 @@ class TestLruCache:
         assert len(cache) == 1
         assert cache.get("a") == 2
 
+    def test_overwrite_promotes(self):
+        cache = LruCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.put("a", 3)  # "a" is now the most recent, so "b" goes first
+        cache.put("c", 4)
+        assert cache.get("b") is None
+        assert cache.get("a") == 3
+        assert cache.keys() == ["c", "a"]
+
 
 ALPHABET = Alphabet(tuple(" abcdeklmnorsz"))
 
@@ -261,6 +297,38 @@ class TestDetect:
         assert engine.detect(normal, state).path is DetectionPath.NORMAL
         state.current_language = "bb"
         assert engine.detect(normal, state).path is DetectionPath.CACHE_HIT
+
+    def test_cache_keeps_the_computed_answer(self):
+        engine = two_language_engine()
+        state = engine.new_state()
+        miss = engine.detect("abab aba", state)
+        (entry,) = (state.cache.get(key) for key in state.cache.keys())
+        assert entry[1] is miss
+        hit = engine.detect("abab aba", state)
+        assert (hit.language, hit.path, hit.corrected) == (
+            miss.language, DetectionPath.CACHE_HIT, None
+        )
+        # a hit is a new detection around the very mapping the miss returned,
+        # which the entry keeps for its later hits
+        assert hit is not miss
+        assert hit.scores is miss.scores
+        assert engine.detect("abab aba", state) is hit
+
+    def test_a_stored_fallback_is_refused_in_another_language(self):
+        engine = two_language_engine()
+        state = engine.new_state()
+        first = engine.detect("zzzz zzzz", state)
+        assert (first.language, first.path) == ("xx", DetectionPath.FALLBACK)
+        state.current_language = "yy"
+        again = engine.detect("zzzz zzzz", state)
+        assert (again.language, again.path) == ("yy", DetectionPath.FALLBACK)
+        assert again.scores is not first.scores
+        # the entry now holds the answer computed in yy, reused in yy only
+        hit = engine.detect("zzzz zzzz", state)
+        assert (hit.language, hit.path) == ("yy", DetectionPath.CACHE_HIT)
+        assert hit.scores is again.scores
+        state.current_language = "xx"
+        assert engine.detect("zzzz zzzz", state).path is DetectionPath.FALLBACK
 
     def test_second_call_reads_no_tables(self):
         # every score_context call reads every pack's table; a hit makes none

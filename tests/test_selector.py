@@ -103,6 +103,14 @@ class TestTrainSelector:
         with pytest.raises(ValueError, match="selector degenerate"):
             train_selector(rows)
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+    def test_non_finite_feature_refused_before_descent(self, monkeypatch, bad):
+        # one bad row among many would run every epoch to a NaN fit
+        rows = [(-4.0, 1), (-30.0, 0)] * 1000 + [(bad, 1)]
+        monkeypatch.setattr(np, "exp", None)  # the descent is never reached
+        with pytest.raises(ValueError, match="selector degenerate for 'aa': a model entry is non-finite"):
+            train_selector(rows, language="aa")
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="single-class"):
             train_selector([(-5.0, 1), (-6.0, 1)])
