@@ -17,11 +17,13 @@ from .engine import Engine, EngineConfig
 from .evaluation import eval_inter, eval_intra, read_tagged_tsv
 from .ngram import (
     DEFAULT_ALPHA,
+    DEFAULT_ALPHABET_SIZE,
     DEFAULT_RECENCY,
     Alphabet,
     TrigramModel,
     build_alphabet,
     perplexity,
+    ranked,
     train_trigram,
 )
 from .pack import LanguagePack, PackError, read_pack, write_pack
@@ -31,7 +33,9 @@ from .selector import (
     reduce_parameters,
     train_selector,
 )
-from .trie import lexicon_from_lines, load_lexicon, load_word_list, ranked, save_lexicon
+from .trie import (
+    DEFAULT_LEXICON_SIZE, lexicon_from_lines, load_lexicon, load_word_list, save_lexicon,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -249,10 +253,9 @@ def cmd_detect(args) -> int:
                 print("session reset")
                 continue
             detection = engine.detect(raw, state)
-            ranked = sorted(
-                detection.scores.items(), key=lambda item: -item[1]
+            scores_text = "  ".join(
+                f"{lang}={score:.3f}" for lang, score in ranked(detection.scores)
             )
-            scores_text = "  ".join(f"{lang}={score:.3f}" for lang, score in ranked)
             corrected = (
                 f"  corrected={detection.corrected[0]!r}" if detection.corrected else ""
             )
@@ -378,8 +381,10 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True, help="UTF-8 corpus, one sentence per line")
     p.add_argument("--lang", required=True, help="language code")
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="smoothing")
-    p.add_argument("--alphabet-size", type=_positive_int, default=26, help="max letters kept")
-    p.add_argument("--lexicon-size", type=_positive_int, default=50000, help="top-K lexicon words")
+    p.add_argument("--alphabet-size", type=_positive_int, default=DEFAULT_ALPHABET_SIZE,
+                   help="max letters kept")
+    p.add_argument("--lexicon-size", type=_positive_int, default=DEFAULT_LEXICON_SIZE,
+                   help="top-K lexicon words")
     p.add_argument("--out", required=True, help="model JSON output path")
     p.set_defaults(func=cmd_train_ngram)
 

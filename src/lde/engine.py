@@ -231,9 +231,7 @@ class Engine:
             current_language=self.config.languages[0],
         )
 
-    def score_context(
-        self, tokens: Sequence[str], state: EngineState | None = None
-    ) -> dict[str, float]:
+    def score_context(self, tokens: Sequence[str], state: EngineState) -> dict[str, float]:
         """Adjusted (threshold-subtracted) score per language.
 
         The recency-weighted sum is divided by its weight mass
@@ -245,12 +243,12 @@ class Engine:
 
         Each pack's sum is its head, the weighted sum over every word but
         the last, plus its last, the last word's log-probability (which
-        weighs 1).  Given a `state` of this engine, the call records the
-        tokens with every pack's head and last in it, and when the tokens
-        are those recorded with one letter added to the last word, as
-        while a word is typed, each pack keeps its head and adds one term
-        to its last.  The scores are the very floats a call without a
-        state gives.
+        weighs 1).  The call records the tokens with every pack's head and
+        last in `state`, and when the tokens are those recorded there by
+        this engine with one letter added to the last word, as while a word
+        is typed, each pack keeps its head and adds one term to its last;
+        otherwise, as in a fresh `new_state()`, it walks the whole context.
+        The scores are the very floats a walk of the whole context gives.
         """
         if not tokens:
             raise ValueError("empty context")
@@ -258,7 +256,7 @@ class Engine:
         weights, mass = self._weights.get(n) or recency_weights(self.config.r, n)
         head, last = tokens[:-1], tokens[-1]
         views = self._views
-        scored = state.scored if state is not None else None
+        scored = state.scored
         if (
             scored is not None
             and scored[0] is views
@@ -269,8 +267,7 @@ class Engine:
             lasts = extended_log_probs(views, scored[4], last)
         else:
             heads, lasts = context_log_probs(views, tokens, weights)
-        if state is not None:
-            state.scored = (views, head, last, heads, lasts)
+        state.scored = (views, head, last, heads, lasts)
         return self._scores(heads, lasts, mass)
 
     def _scores(self, heads: list[float], lasts: list[float], mass: float) -> dict[str, float]:
@@ -383,7 +380,7 @@ class Engine:
                 if scores[lang] + gain / mass < reach:
                     deferred.append(i)
                     continue
-            found = lexicons[i].edit1_candidates(last, max_results=1, span=span)
+            found = lexicons[i].edit1_candidates(last, span=span)
             if found:
                 if rescue is not None:
                     return None
@@ -397,7 +394,7 @@ class Engine:
         (lp,) = context_log_probs((self._views[i],), (word,), (1.0,))[1]
         if (heads[i] + lp) / mass - tau < LOG_HALF:
             return None
-        if any(lexicons[j].edit1_candidates(last, max_results=1, span=ANYWHERE) for j in deferred):
+        if any(lexicons[j].edit1_candidates(last, span=ANYWHERE) for j in deferred):
             return None
         lasts = context_log_probs(self._views, (word,), (1.0,))[1]
         rescored = self._scores(heads, lasts, mass)

@@ -32,7 +32,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ WHITESPACE = " "
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_RECENCY = 0.7
+DEFAULT_ALPHABET_SIZE = 26  # letters `build_alphabet` keeps
 
 
 class _CharTable(dict):
@@ -149,7 +150,12 @@ class Alphabet:
         return f"Alphabet({''.join(self.symbols[1:])!r})"
 
 
-def build_alphabet(corpus: Iterable[str], max_symbols: int = 26) -> Alphabet:
+def ranked(weights: Mapping[str, float]) -> list[tuple[str, float]]:
+    """The (key, weight) pairs of `weights`' `items()`, heaviest first, ties by key."""
+    return sorted(weights.items(), key=lambda item: (-item[1], item[0]))
+
+
+def build_alphabet(corpus: Iterable[str], max_symbols: int = DEFAULT_ALPHABET_SIZE) -> Alphabet:
     """Pick the most frequent letters of a corpus's words.
 
     Keeps whitespace plus up to `max_symbols` letters of the words
@@ -163,8 +169,7 @@ def build_alphabet(corpus: Iterable[str], max_symbols: int = 26) -> Alphabet:
                 counts[ch] = counts.get(ch, 0) + 1
     if not counts:
         raise ValueError("empty corpus")
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    kept = [ch for ch, _ in ranked[:max_symbols]]
+    kept = [ch for ch, _ in ranked(counts)[:max_symbols]]
     return Alphabet((WHITESPACE, *kept))
 
 

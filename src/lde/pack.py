@@ -23,7 +23,7 @@ import numpy as np
 
 from .ngram import Alphabet, Maxima, TrigramModel, trigram_maxima
 from .selector import Threshold
-from .trie import Trie
+from .trie import MAX_WEIGHT, Trie
 
 MAGIC = b"LDEPACK1"
 FORMAT_VERSION = 1
@@ -68,16 +68,20 @@ class PackSizes(NamedTuple):
 class LanguagePack:
     """In-memory view of one unpacked language file.
 
+    Its `language` is its model's, read through, never stored apart.
     `maxima` bounds what one edit can gain a word (`ngram.edit1_gain_bound`);
     it is derived from the table when the pack is made, not stored.
     """
 
-    language: str
     model: TrigramModel
     tau: float
     lexicon: Trie
     proper_nouns: frozenset[str]
     maxima: Maxima
+
+    @property
+    def language(self) -> str:
+        return self.model.language
 
 
 def quantize_table(table: list[float]) -> tuple[float, float, np.ndarray]:
@@ -155,7 +159,7 @@ def write_pack(
     for word, weight in lex_records:
         if not word:
             raise PackError("empty lexicon word")
-        if not 0 <= weight <= 0xFFFFFFFF:
+        if not 0 <= weight <= MAX_WEIGHT:
             raise PackError(f"lexicon weight {weight} of {word!r} is not a u32")
         parts.append(_pack_str(word) + struct.pack("<I", weight))
 
@@ -188,20 +192,29 @@ _U32 = struct.Struct("<I").unpack_from
 _U32_U16 = struct.Struct("<IH").unpack_from
 
 
+def _string(data: bytes, pos: int) -> tuple[str, int]:
+    """The string record at `pos`, a u16 byte length then that many UTF-8
+    bytes, and the offset past it; one cut short is refused before it is decoded."""
+    (size,) = _U16(data, pos)
+    end = pos + 2 + size
+    if end > len(data):
+        raise TruncatedPackError(f"payload ends at {len(data)}, needed {end}")
+    return data[pos + 2 : end].decode(), end
+
+
 def _words(data: bytes, pos: int, weighted: bool) -> tuple[dict[str, int], int]:
     """The word section at `pos` and the offset past it: a u32 count, then
     that many records, a string followed by its u32 weight when `weighted`
     (every word weighs 1 otherwise).
 
-    One flat loop with no call per record, since the records are most of a
-    pack's load time, and one precompiled `unpack_from` per record: in the
-    weighted section, a weight is read together with the size that starts
-    the next record.  After the last weight those two bytes are the first
-    half of the noun section's u32 count, which always follows, so a
-    valid pack always holds them.  `read_pack` turns the `struct.error` of
-    a record cut short and the `UnicodeDecodeError` of a word into
-    `PackError`s; a lexicon record is read whole before its word is
-    decoded, so a lexicon word cut short is refused as truncated.
+    The weighted records, most of a pack's load time, are read in one flat
+    loop with no call per record and one precompiled `unpack_from` each: a
+    weight is read together with the size that starts the next record.
+    After the last weight those two bytes are the first half of the noun
+    section's u32 count, which always follows, so a valid pack holds them.
+    Each record is read whole before its word is decoded, so one cut short
+    is truncated, not malformed; `read_pack` turns the `struct.error` and
+    `UnicodeDecodeError` raised here into `PackError`s.
     """
     words: dict[str, int] = {}
     (count,) = _U32(data, pos)
@@ -216,12 +229,8 @@ def _words(data: bytes, pos: int, weighted: bool) -> tuple[dict[str, int], int]:
             pos += 4
     else:  # the nouns, or an empty lexicon
         for _ in range(count):
-            (size,) = _U16(data, pos)
-            start = pos + 2
-            pos = start + size
-            words[data[start:pos].decode()] = 1
-    if pos > len(data):
-        raise TruncatedPackError(f"payload ends at {len(data)}, needed {pos}")
+            word, pos = _string(data, pos)
+            words[word] = 1
     if "" in words:
         raise MalformedPackError("empty word")
     if len(words) != count:
@@ -291,14 +300,8 @@ def read_pack(path) -> LanguagePack:
         (version,) = unpack_from("<H", payload)
         if version != FORMAT_VERSION:
             raise PackVersionError(f"unsupported pack version {version}")
-        pos = 2
-        header = []
-        for _ in range(2):  # the language code, then the alphabet
-            (size,) = unpack_from("<H", payload, pos)
-            (raw,) = unpack_from(f"{size}s", payload, pos + 2)
-            header.append(raw.decode("utf-8"))
-            pos += 2 + size
-        language, symbols = header
+        language, pos = _string(payload, 2)
+        symbols, pos = _string(payload, pos)
         try:
             alphabet = Alphabet(tuple(symbols))
         except ValueError as exc:
@@ -323,11 +326,4 @@ def read_pack(path) -> LanguagePack:
 
     table, cube = _dequantize(q, lo, scale)
     model = TrigramModel(language=language, alphabet=alphabet, table=table, alpha=alpha)
-    return LanguagePack(
-        language=language,
-        model=model,
-        tau=tau,
-        lexicon=Trie(weights),
-        proper_nouns=frozenset(nouns),
-        maxima=trigram_maxima(cube, v),
-    )
+    return LanguagePack(model, tau, Trie(weights), frozenset(nouns), trigram_maxima(cube, v))

@@ -33,13 +33,15 @@ from typing import Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .ngram import strip_symbols
+from .ngram import ranked, strip_symbols
 
 # left symbol -> right symbol -> the letters found between them
 TripleIndex = Mapping[str, Mapping[str, str]]
 _NO_ROW: Mapping[str, str] = MappingProxyType({})  # a left symbol no word holds
 # `Trie.edit_span` of a word with no bad triple: an empty span, which any edit covers
 ANYWHERE = (sys.maxsize, -1)
+MAX_WEIGHT = 0xFFFFFFFF  # the heaviest weight a word may have: a pack stores a u32
+DEFAULT_LEXICON_SIZE = 50000  # words `lexicon_from_lines` keeps
 
 
 class Trie:
@@ -135,21 +137,19 @@ class Trie:
         return probes
 
     def edit1_candidates(
-        self, word: str, max_results: int = 10, span: tuple[int, int] | None = None
+        self, word: str, span: tuple[int, int] | None = None
     ) -> list[tuple[str, int]]:
-        """Words in the lexicon within Levenshtein distance 1 of `word`.
+        """Every lexicon word within Levenshtein distance 1 of `word`, with
+        its weight, heaviest first, ties by word (`ngram.ranked`).
 
-        Distance 0 (the word itself) counts.  Results are ordered by
-        descending weight, then lexicographically, and truncated to
-        `max_results`.  Only the strings `probes` generates from `span`,
-        `edit_span(word)` if the caller has found it, are looked up.
+        Distance 0 (the word itself) counts.  Only the strings `probes`
+        generates from `span`, `edit_span(word)` if the caller has found
+        it, are looked up.
         """
         if not word:
             raise ValueError("empty word")
         weights = self._weights
-        hits = weights.keys() & self.probes(word, span)
-        ranked = sorted((-weights[w], w) for w in hits)[:max_results]
-        return [(w, -negative) for negative, w in ranked]
+        return ranked({w: weights[w] for w in weights.keys() & self.probes(word, span)})
 
 
 def letter_triples(words: Collection[str]) -> tuple[str, str, TripleIndex]:
@@ -214,12 +214,6 @@ def letter_triples(words: Collection[str]) -> tuple[str, str, TripleIndex]:
     return boundary, text(np.flatnonzero(symbols != ord(boundary))), between
 
 
-def ranked(weights: Mapping[str, int] | Trie) -> list[tuple[str, int]]:
-    """All (word, weight) pairs of `weights` heaviest first, ties by word:
-    the order of a lexicon file."""
-    return sorted(weights.items(), key=lambda item: (-item[1], item[0]))
-
-
 def _add(weights: dict[str, int], word: str, weight: int) -> None:
     if not word:
         raise ValueError("empty word")
@@ -240,7 +234,7 @@ def word_frequencies(lines: Iterable[str]) -> list[tuple[str, int]]:
     return ranked(Counter(word for raw in lines for word in strip_symbols(raw)))
 
 
-def lexicon_from_lines(lines: Iterable[str], top_k: int = 50000) -> dict[str, int]:
+def lexicon_from_lines(lines: Iterable[str], top_k: int = DEFAULT_LEXICON_SIZE) -> dict[str, int]:
     """Frequency-weighted lexicon: the top_k most frequent corpus words."""
     return dict(word_frequencies(lines)[:top_k])
 
@@ -249,8 +243,9 @@ def load_lexicon(path) -> dict[str, int]:
     """Read a word<TAB>count lexicon file; a repeated word's counts are summed.
 
     A word holds lowercase letters and marks only, as a word of
-    `strip_symbols` does.  The words come back as a plain dict: a `Trie`,
-    with its letter-triple index, is built only when a pack is read."""
+    `strip_symbols` does, and its summed counts are a pack's u32 weight.
+    The words come back as a plain dict: a `Trie`, with its letter-triple
+    index, is built only when a pack is read."""
     weights: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -264,6 +259,8 @@ def load_lexicon(path) -> dict[str, int]:
                 raise ValueError(f"{path}:{line_no}: bad lexicon line {line!r}") from exc
             if word != word.lower() or any(unicodedata.category(ch)[0] not in "LM" for ch in word):
                 raise ValueError(f"{path}:{line_no}: {word!r} is not lowercase letters and marks")
+            if not 0 <= weights[word] <= MAX_WEIGHT:
+                raise ValueError(f"{path}:{line_no}: {word!r} sums to {weights[word]}, not a u32")
     return weights
 
 

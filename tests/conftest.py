@@ -121,7 +121,13 @@ def make_pack(
     with the table quantized."""
     lexicon = Trie() if lexicon is None else lexicon
     maxima = trigram_maxima(model.table, model.alphabet.size)
-    return LanguagePack(model.language, model, tau.tau, lexicon, frozenset(proper_nouns), maxima)
+    return LanguagePack(model, tau.tau, lexicon, frozenset(proper_nouns), maxima)
+
+
+def full_walk_scores(engine: Engine, tokens) -> dict[str, float]:
+    """What `score_context` gives `tokens` in a fresh state, which holds
+    no scored context to extend: a walk of the whole context."""
+    return engine.score_context(tokens, engine.new_state())
 
 
 def simple_pack(model: TrigramModel, tau: float, lexicon_words=(), pronouns=()) -> LanguagePack:

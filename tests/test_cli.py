@@ -344,6 +344,21 @@ class TestPack:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_count_summing_past_a_u32_is_data_error(self, workspace, tmp_path, capsys):
+        lexicon = tmp_path / "aa.lex"
+        lexicon.write_text("abc\t4294967295\nkal\t2\nabc\t1\n", encoding="utf-8")
+        models = workspace["models"]
+        out = tmp_path / "x.ldep"
+        assert main([
+            "pack",
+            "--model", str(models / "aa.json"),
+            "--selector", str(models / "aa.selector.json"),
+            "--lexicon", str(lexicon),
+            "--out", str(out),
+        ]) == 2
+        assert "aa.lex:3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lexicon_word_with_punctuation_is_data_error(self, workspace, tmp_path, capsys):
         lexicon = tmp_path / "aa.lex"
         lexicon.write_text("abc\t4\nhello!\t3\n", encoding="utf-8")

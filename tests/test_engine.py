@@ -24,6 +24,7 @@ from lde.synth import LATIN
 from lde.trie import Trie
 
 from conftest import (
+    full_walk_scores,
     intra_sentences,
     levenshtein,
     make_pack,
@@ -686,7 +687,7 @@ def reference_detect(engine: Engine, text: str) -> tuple:
     language, scores, path, corrected, full scorings)."""
     current = engine.config.languages[0]
     tokens = context_tokens(text.split())
-    scores = engine.score_context(tokens)
+    scores = full_walk_scores(engine, tokens)
     language, passed = select_language(scores, current)
     if passed:
         return "normal", language, scores, DetectionPath.NORMAL, None, 1
@@ -701,7 +702,7 @@ def reference_detect(engine: Engine, text: str) -> tuple:
             offers.append((lang, min(near)[1]))
 
     def rescored(word):
-        return engine.score_context([*tokens[:-1], word])
+        return full_walk_scores(engine, [*tokens[:-1], word])
 
     def can_pass(lang):
         # some string one edit from the token, over the alphabet and a
@@ -824,7 +825,7 @@ class TestNormalizedScoring:
     def test_single_word_score_matches_word_log_prob(self):
         engine = two_language_engine()
         pack = engine.packs["xx"]
-        scores = engine.score_context(["abab"])
+        scores = full_walk_scores(engine, ["abab"])
         expected = pack.model.word_log_prob("abab") - pack.tau
         assert scores["xx"] == pytest.approx(expected, abs=1e-12)
 
@@ -833,13 +834,13 @@ class TestNormalizedScoring:
         pack = engine.packs["xx"]
         tokens = ["abab", "aba"]
         raw = walk_log_prob(pack.model, tokens, 0.5)
-        scores = engine.score_context(tokens)
+        scores = full_walk_scores(engine, tokens)
         assert scores["xx"] == raw / 1.5 - pack.tau
 
     def test_repeated_word_context_scores_like_single(self):
         engine = two_language_engine()
-        one = engine.score_context(["abab"])
-        two = engine.score_context(["abab", "abab"])
+        one = full_walk_scores(engine, ["abab"])
+        two = full_walk_scores(engine, ["abab", "abab"])
         assert one["xx"] == pytest.approx(two["xx"], abs=1e-12)
 
 
@@ -852,7 +853,7 @@ _RECENCY = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 
 def assert_scores_exact(engine, tokens, r):
     engine = Engine(list(engine.packs.values()), EngineConfig(languages=engine.languages, r=r))
-    scores = engine.score_context(tokens)
+    scores = full_walk_scores(engine, tokens)
     mass = sum(r ** k for k in range(len(tokens)))
     for lang, pack in engine.packs.items():
         assert scores[lang] == walk_log_prob(pack.model, tokens, r) / mass - pack.tau
@@ -873,7 +874,7 @@ class TestExactScores:
 
     def test_empty_context_rejected(self, bilingual):
         with pytest.raises(ValueError):
-            bilingual.engine.score_context([])
+            full_walk_scores(bilingual.engine, [])
 
 
 class TestCacheContract:
@@ -936,8 +937,8 @@ class _CountingTable(list):
         return list.__getitem__(self, index)
 
 
-def stateless_scores(engine, text, detection, language):
-    """What `score_context` without a state gives the context `detect`
+def fresh_state_scores(engine, text, detection, language):
+    """What `score_context` in a fresh state gives the context `detect`
     scored for `text` in session language `language`: the corrected
     context after a rescue, and none when no word is left once trailing
     proper nouns are dropped."""
@@ -955,7 +956,7 @@ def stateless_scores(engine, text, detection, language):
         corrected = engine.detect(" ".join(words), fresh).corrected
     if corrected:
         tokens[-1] = corrected[0]
-    return engine.score_context(tokens)
+    return full_walk_scores(engine, tokens)
 
 
 class TestKeystrokeReuse:
@@ -1011,7 +1012,7 @@ class TestKeystrokeReuse:
                 language = state.current_language
                 detection = engine.detect(text, state)
                 paths.add(detection.path)
-                expected = stateless_scores(engine, text, detection, language)
+                expected = fresh_state_scores(engine, text, detection, language)
                 assert dict(detection.scores) == expected, text
 
         check()
@@ -1026,9 +1027,9 @@ class TestKeystrokeReuse:
         first.detect(f"{w1} {w2[:-1]}", state)
         moved = second.detect(f"{w1} {w2}", state)
         assert moved.path is not DetectionPath.CACHE_HIT
-        assert dict(moved.scores) == second.score_context([w1, w2])
+        assert dict(moved.scores) == full_walk_scores(second, [w1, w2])
         # the engines' scores differ, so reusing the first's parts would show
-        assert second.score_context([w1, w2]) != first.score_context([w1, w2])
+        assert full_walk_scores(second, [w1, w2]) != full_walk_scores(first, [w1, w2])
 
     def test_full_walk_only_when_the_context_changes_shape(self, monkeypatch):
         base = two_language_engine()
@@ -1093,4 +1094,4 @@ class TestKeystrokeReuse:
         detection = engine.detect("abc", state)
         # "abc" extends "ab", the context just answered, not "abx"
         assert calls == ["extend"]
-        assert dict(detection.scores) == engine.score_context(["abc"])
+        assert dict(detection.scores) == full_walk_scores(engine, ["abc"])

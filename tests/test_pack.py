@@ -84,6 +84,18 @@ class TestRoundTrip:
         assert sizes.compressed == path.stat().st_size
         assert sizes.compressed < sizes.raw
 
+    def test_language_is_the_models(self, sample_inputs, tmp_path):
+        model, tau, lexicon, nouns = sample_inputs
+        path = tmp_path / "xx.ldep"
+        write_pack(model, tau, lexicon, path, proper_nouns=nouns)
+        pack = read_pack(path)
+        assert pack.language == pack.model.language == "xx"
+        # the model is the one source of the language: a pack cannot name another
+        with pytest.raises(AttributeError):
+            pack.language = "yy"
+        pack.model = replace(pack.model, language="yy")
+        assert pack.language == "yy"
+
     def test_table_is_the_dequantized_codes(self, sample_inputs, tmp_path):
         """Every entry is the float `lo + q * scale` gives, and the table
         holds one float object per distinct code."""
@@ -358,11 +370,20 @@ class TestErrorPaths:
             (b"\x03\x00abc", 7),  # inside its weight
             (b"\x06\x00hagrid", 1),  # inside a proper noun's length
             (b"\x06\x00hagrid", 5),  # inside the noun, the payload's last record
+            # after the u16 version: inside the language code "xx"
+            (b"\x01\x00\x02\x00xx", 5),
+            (b"\x09\x00 abcdefgh", 6),  # inside the alphabet
+            # between the two bytes of the noun's u umlaut, which alone are not UTF-8
+            ("\x06\x00d\u00fcrer".encode(), 4),
         ],
-        ids=["length", "word", "weight", "noun-length", "noun"],
+        ids=["length", "word", "weight", "noun-length", "noun", "language", "alphabet",
+             "non-ascii-noun"],
     )
     def test_record_cut_short(self, sample_inputs, tmp_path, record, cut):
-        path = self.write_sample(sample_inputs, tmp_path)
+        model, tau, lexicon, nouns = sample_inputs
+        path = tmp_path / "xx.ldep"
+        # "dürer" sorts before "hagrid", so the last record stays the same
+        write_pack(model, tau, lexicon, path, proper_nouns=nouns | {"d\u00fcrer"})
         payload = zlib.decompressobj().decompress(path.read_bytes()[8:])
         payload = payload[: payload.rindex(record) + cut]
         path.write_bytes(

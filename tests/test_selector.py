@@ -20,7 +20,7 @@ from lde.selector import negative_quotas
 from lde.synth import LATIN, corpus_lines, make_language
 from lde.trie import word_frequencies
 
-from conftest import model_from_probs, simple_pack
+from conftest import full_walk_scores, model_from_probs, simple_pack
 from lde.ngram import Alphabet
 
 
@@ -183,7 +183,7 @@ class TestAdjustedLogProb:
     def one_word_score(tau: float) -> tuple[float, float]:
         model = model_from_probs(Alphabet((" ", "a", "b")), 0.2, {(" ", " ", "a"): 0.6})
         engine = Engine([simple_pack(model, tau)], EngineConfig(languages=("xx",)))
-        return model.word_log_prob("ab"), engine.score_context(["ab"])["xx"]
+        return model.word_log_prob("ab"), full_walk_scores(engine, ["ab"])["xx"]
 
     def test_zero_threshold(self):
         emission, score = self.one_word_score(0.0)

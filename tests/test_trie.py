@@ -80,14 +80,9 @@ class TestEdit1Candidates:
         got = trie.edit1_candidates("cat")
         assert got == [("cab", 9), ("car", 5), ("cat", 5)]
 
-    def test_max_results_truncates(self):
-        trie = trie_from_pairs([("aa", 1), ("ab", 2), ("ac", 3), ("ad", 4)])
-        got = trie.edit1_candidates("ax", max_results=2)
-        assert got == [("ad", 4), ("ac", 3)]
-
     def test_insertion_and_deletion_found(self):
         trie = trie_from_pairs([("kaal", 1), ("ka", 1), ("kal", 1)])
-        words = {w for w, _ in trie.edit1_candidates("kal", max_results=10)}
+        words = {w for w, _ in trie.edit1_candidates("kal")}
         assert words == {"kaal", "ka", "kal"}
 
     def test_empty_query(self):
@@ -121,11 +116,10 @@ class TestEdit1Candidates:
                         query.insert(rng.randint(0, len(query)), rng.choice(foreign_letters))
                 query = "".join(query)
                 assert sum(ch in foreign_letters for ch in query) == foreign
-                got = {w for w, _ in trie.edit1_candidates(query, max_results=10_000)}
+                ranked = trie.edit1_candidates(query)
                 expected = {w for w in words if levenshtein(query, w) <= 1}
-                assert got == expected
+                assert {w for w, _ in ranked} == expected
                 seen.add((min(foreign, 2), bool(expected)))
-                ranked = trie.edit1_candidates(query, max_results=10_000)
                 assert ranked == sorted(ranked, key=lambda it: (-it[1], it[0]))
                 assert all(weights[w] == wt for w, wt in ranked)
         # hits and misses at 0 and 1 foreign letters, misses at 2+
@@ -248,8 +242,7 @@ class TestEdit1Candidates:
                 ((w, wt) for w, wt in lexicon.items() if levenshtein(query, w) <= 1),
                 key=lambda item: (-item[1], item[0]),
             )
-            assert trie.edit1_candidates(query, max_results=len(lexicon)) == expected, query
-            assert trie.edit1_candidates(query, max_results=1) == expected[:1], query
+            assert trie.edit1_candidates(query) == expected, query
             held = sum(ch in foreign for ch in query)
             assert (trie.edit_span(query) is None) == (held > 1), query
             if held > 1:
@@ -373,8 +366,7 @@ def test_search_matches_brute_force(lexicon, base, letter, where, substitute, in
         ((w, wt) for w, wt in lexicon.items() if levenshtein(query, w) <= 1),
         key=lambda item: (-item[1], item[0]),
     )
-    assert trie.edit1_candidates(query, max_results=len(lexicon)) == expected
-    assert trie.edit1_candidates(query, max_results=1) == expected[:1]
+    assert trie.edit1_candidates(query) == expected
     if trie.edit_span(query) is None:
         assert expected == []
 
@@ -449,6 +441,19 @@ class TestLexiconFiles:
         path.write_text("kal\t2\n\t3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="x.lex:2"):
             load_lexicon(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("kal\t2\nabc\t-3\n", 2),
+        ("abc\t4294967295\nkal\t1\nabc\t1\n", 3),
+    ], ids=["negative", "past-u32"])
+    def test_lexicon_refuses_a_count_no_pack_holds(self, tmp_path, text, line):
+        # a pack stores a u32 weight, and load_lexicon sums a word's counts
+        path = tmp_path / "x.lex"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"x.lex:{line}: 'abc'"):
+            load_lexicon(path)
+        path.write_text("abc\t4294967294\nabc\t1\nkal\t0\n", encoding="utf-8")
+        assert load_lexicon(path) == {"abc": 4294967295, "kal": 0}
 
     def test_word_frequencies_order(self):
         freqs = word_frequencies(["b a", "a c a"])

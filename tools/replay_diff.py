@@ -110,13 +110,15 @@ def record(root: Path, workload: str, seed: int, out_dir: Path) -> None:
                     EngineConfig(languages=work.languages))
     probes = Trie.probes  # unwrapped: counting a search's hits makes no probe
 
-    def whole(result, trie, word, max_results=10, span=None) -> int:
+    # a search passes `span` by keyword; an older `edit1_candidates` took a
+    # result cap as well, which `**_` takes, so a parent checkout replays too
+    def whole(result, trie, word, span=None, **_) -> int:
         return (trie.edit_span(word) if span is None else span) is ANYWHERE
 
     def localised(*call, **kwargs) -> int:
         return 1 - whole(*call, **kwargs)
 
-    def hits(result, trie, word, max_results=10, span=None) -> int:
+    def hits(result, trie, word, span=None, **_) -> int:
         return sum(probe in trie for probe in set(probes(trie, word, span)))
 
     counts = Counter(dict.fromkeys(COUNTED, 0))
