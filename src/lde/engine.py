@@ -20,7 +20,9 @@ its last word, so each pack keeps its head and adds one trigram term to
 its last (`ngram.extended_log_probs`) instead of walking the context
 again.  On top of that sit a session LRU cache keyed by the context that
 is scored, and typo rescue for out-of-lexicon tokens one edit away from
-a word in a non-current language.  Each lexicon's `Trie.edit_span` says
+a word in a non-current language.  After the token's membership test,
+one pass over its letters skips every lexicon lacking two of them, where
+no edit gives a word, and each other lexicon's `Trie.edit_span` says
 once where an edit of the token must fall: nowhere (skipped), in a span
 (searched at once) or anywhere, a whole-lexicon search made only for a
 language that the correction can lift to its threshold, by an exact
@@ -216,6 +218,13 @@ class Engine:
         self._taus = tuple((lang, pack.tau) for lang, pack in self.packs.items())
         self._maxima = tuple(pack.maxima for pack in self.packs.values())
         self._lexicons = tuple(pack.lexicon for pack in self.packs.values())
+        # typo rescue's screen: letter -> the bits (1 << index) of the lexicons
+        # lacking it, and the table deleting the letters every lexicon holds
+        held = [set(lexicon.letters) for lexicon in self._lexicons]
+        every = set.intersection(*held)
+        self._lacking = {ch: sum(1 << i for i, has in enumerate(held) if ch not in has)
+                         for ch in set().union(*held) - every}
+        self._held_by_all = str.maketrans("", "", "".join(every))
         # recency weights and weight mass of every context length detect selects
         self._weights = {
             n: recency_weights(config.r, n) for n in range(1, config.max_context_extension + 1)
@@ -338,9 +347,11 @@ class Engine:
         corrected context clears that language's threshold.  The
         non-current languages are taken in registration order under one
         rule, read from each lexicon's `Trie.edit_span` of the token.  A
-        lexicon where no edit can give a word is skipped.  One where the
-        edit must fall in a span is searched at once, since the search
-        edits only there.  Where it may fall anywhere, the search covers
+        lexicon where no edit can give a word is skipped: before its
+        `edit_span`, if one pass over the token's letters after the
+        membership test finds two that it lacks.  One where the edit must
+        fall in a span is searched at once, since the search edits only
+        there.  Where it may fall anywhere, the search covers
         the whole lexicon, so it is deferred for a language the correction
         cannot lift to the threshold.  The last word weighs 1, so a
         correction `w` of it scores `scores[lang] + (lp(w) - lp(last)) /
@@ -362,15 +373,21 @@ class Engine:
         """
         last = tokens[-1]
         lexicons = self._lexicons
-        if any(last in lexicon for lexicon in lexicons):
-            return None
+        for lexicon in lexicons:
+            if last in lexicon:
+                return None
+        once = twice = 0  # bits of the lexicons lacking one, two of the token's letters
+        for ch in last.translate(self._held_by_all):
+            bits = self._lacking.get(ch, -1)  # -1 has every bit: a letter no lexicon holds
+            twice |= once & bits
+            once |= bits
         current = state.current_language
         reach = LOG_HALF - _ROUNDING
         mass = self._weights[len(tokens)][1]
         rescue = None
         deferred = []
         for i, (lang, _) in enumerate(self._taus):
-            if lang == current:
+            if lang == current or twice >> i & 1:
                 continue
             span = lexicons[i].edit_span(last)
             if span is None:

@@ -107,6 +107,11 @@ def _pack_str(text: str) -> bytes:
     return struct.pack("<H", len(data)) + data
 
 
+def _check_language(error: type[PackError], language: str) -> None:
+    if not language:  # the one language-code rule, which writer and reader apply
+        raise error("pack has no language code")
+
+
 def _check_finite(
     error: type[PackError], alpha: float, lo: float, scale: float, tau: float
 ) -> None:
@@ -133,8 +138,7 @@ def write_pack(
     lexicon and proper-noun sections are written in sorted order and zlib
     settings are fixed.
     """
-    if not model.language:
-        raise PackError("model has no language code")
+    _check_language(PackError, model.language)
     if model.language != tau.language:
         raise PackError(
             f"language mismatch: model {model.language!r} vs threshold {tau.language!r}"
@@ -301,6 +305,7 @@ def read_pack(path) -> LanguagePack:
         if version != FORMAT_VERSION:
             raise PackVersionError(f"unsupported pack version {version}")
         language, pos = _string(payload, 2)
+        _check_language(MalformedPackError, language)
         symbols, pos = _string(payload, pos)
         try:
             alphabet = Alphabet(tuple(symbols))

@@ -48,18 +48,18 @@ class Trie:
     """Word -> weight lexicon, fixed once built.
 
     `Trie(weights)` adopts a dict of non-empty words as it is, and derives
-    from the words in bulk the letter-triple index and, with it, the table
-    that deletes every lexicon letter.  No word can be added, so both stay
-    exact.
+    from the words in bulk the letter-triple index and, with it, `letters`,
+    the distinct letters its words hold.  No word can be added, so both
+    stay exact.
     """
 
     def __init__(self, weights: dict[str, int] | None = None):
         self._weights: dict[str, int] = {} if weights is None else weights
         # the boundary symbol, and `between[left][right]`: the letters found
         # between the symbols `left` and `right` in some word
-        self._boundary, letters, self._between = letter_triples(self._weights)
+        self._boundary, self.letters, self._between = letter_triples(self._weights)
         # lexicon letter -> None, for `str.translate`
-        self._known: dict[int, None] = str.maketrans("", "", letters)
+        self._known: dict[int, None] = str.maketrans("", "", self.letters)
 
     def __contains__(self, word: str) -> bool:
         return word in self._weights
@@ -115,6 +115,7 @@ class Trie:
             return []
         (first, last), n = span, len(word)
         probes = [word] if span is ANYWHERE else []
+        add = probes.append
         between = self._between
         # letter i is padded[i + 1], between padded[i] and padded[i + 2]
         padded = self._boundary + word + self._boundary
@@ -122,18 +123,19 @@ class Trie:
             head, tail = word[:i], word[i + 1 :]
             left, right = padded[i], padded[i + 2]
             row = between.get(left, _NO_ROW)
-            probes += [head + ch + tail for ch in row.get(right, "")]
+            for ch in row.get(right, ""):
+                add(head + ch + tail)
             # deleting letter i forms the triples centred on `left` and on
             # `right`, unless that one is the boundary; deleting the only
             # letter leaves no word
             if n > 1 and (
                 i == 0 or left in between.get(padded[i - 1], _NO_ROW).get(right, "")
             ) and (i == n - 1 or right in row.get(padded[i + 3], "")):
-                probes.append(head + tail)
+                add(head + tail)
         for g in range(max(last, 0), min(first + 1, n) + 1):
             head, tail = word[:g], word[g:]
-            row = between.get(padded[g], _NO_ROW)
-            probes += [head + ch + tail for ch in row.get(padded[g + 1], "")]
+            for ch in between.get(padded[g], _NO_ROW).get(padded[g + 1], ""):
+                add(head + ch + tail)
         return probes
 
     def edit1_candidates(
@@ -149,7 +151,7 @@ class Trie:
         if not word:
             raise ValueError("empty word")
         weights = self._weights
-        return ranked({w: weights[w] for w in weights.keys() & self.probes(word, span)})
+        return ranked({w: weights[w] for w in self.probes(word, span) if w in weights})
 
 
 def letter_triples(words: Collection[str]) -> tuple[str, str, TripleIndex]:

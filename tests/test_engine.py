@@ -629,6 +629,45 @@ class TestTypoRescue:
         assert detection.path is DetectionPath.FALLBACK
         assert (bounded, searched) == ([], expected)
 
+    def screen_engine(self, extra=()):
+        """Current language xx; yy holds "kal", zz "ksl" and ww "kql", each
+        with the words of `extra` as well."""
+        packs = []
+        for lang, word in (("xx", "ab"), ("yy", "kal"), ("zz", "ksl"), ("ww", "kql")):
+            model = model_from_probs(ALPHABET, 0.05, language=lang)
+            packs.append(simple_pack(model, tau=-2.0, lexicon_words=(word, *extra)))
+        return Engine(packs, EngineConfig(languages=("xx", "yy", "zz", "ww")))
+
+    @pytest.mark.parametrize("extra, token, scanned", [
+        # yy lacks the s and the q, zz the q alone, ww the s alone
+        ((), "ksql", ["zz", "ww"]),
+        # yy and ww lack the s twice, zz lacks no letter
+        ((), "kssl", ["zz"]),
+        # no lexicon holds the x: yy and ww lack it and the s, zz only it
+        ((), "kslx", ["zz"]),
+        # no lexicon holds the x, which is there twice
+        ((), "kxxl", []),
+        # every lexicon holds every letter of the token, so the screen
+        # deletes the whole token and skips no lexicon
+        *((("abklqsx",), token, ["yy", "zz", "ww"]) for token in ("ksql", "kssl", "kslx", "kxxl")),
+    ])
+    def test_a_lexicon_lacking_two_letters_is_never_scanned(
+        self, monkeypatch, extra, token, scanned
+    ):
+        engine = self.screen_engine(extra)
+        lang_of = {pack.lexicon: lang for lang, pack in engine.packs.items()}
+        calls = []
+        scan = Trie.edit_span
+
+        def spy(trie, word):
+            calls.append(lang_of[trie])
+            return scan(trie, word)
+
+        monkeypatch.setattr(Trie, "edit_span", spy)
+        detection = engine.detect(token, engine.new_state())
+        assert calls == scanned
+        assert detection[:4] == tuple(reference_detect(engine, token)[1:5])
+
     def test_in_lexicon_token_not_rescued(self):
         engine = self.rescue_engine()
         state = engine.new_state()
@@ -731,7 +770,11 @@ def rescue_cases(draw):
     languages (more if their lexicons happen to hold such words).  Some
     tokens hold only letters that the lexicons they are near hold, so
     those searches are ones no letter limits; of two such lexicons, the
-    first may belong to a language that never reaches its threshold."""
+    first may belong to a language that never reaches its threshold.
+    Others hold one or two of z and y, which no alphabet holds: a z twice,
+    or a z and a y, so that every lexicon but one the typo is near lacks
+    two letters of it.  In some cases every lexicon also holds a word of
+    every letter, which no typo is near."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(3, 5))
     letters = [rng.sample("abcdefgh", rng.randint(3, 6)) for _ in range(n)]
@@ -740,8 +783,9 @@ def rescue_cases(draw):
          for _ in range(rng.randint(2, 8))}
         for alpha in letters
     ]
-    # language 0 is the current one; the typo is mostly a z, which no
-    # alphabet holds, among letters of near[0], and mostly edited at the z
+    # language 0 is the current one; the typo mostly holds a z or a y,
+    # which no alphabet holds, among letters of near[0], and is mostly
+    # edited at one of them
     near = rng.sample(range(1, n), draw(st.integers(0, 2)))
     # no edit reaches a threshold of 30: of two languages a typo of their
     # letters is near, the first can then only block a rescue into the other
@@ -753,12 +797,13 @@ def rescue_cases(draw):
         typo = rng.choices(sorted(held), k=rng.randint(1, 4))
     else:
         typo = rng.choices(letters[near[0]] if near else "abcdefgh", k=rng.randint(1, 4))
-        if rng.random() < 0.8:
-            typo.insert(rng.randint(0, len(typo)), "z")
+        for ch in rng.choices("zzy", k=rng.choice((0, 1, 1, 1, 2, 2))):
+            typo.insert(rng.randint(0, len(typo)), ch)
     typo = "".join(typo)
     for i in near:
-        fix = "z" in typo and rng.random() < 0.7
-        at = typo.index("z") if fix else rng.randrange(len(typo) + 1)
+        foreign = [k for k, ch in enumerate(typo) if ch in "zy"]
+        fix = foreign and rng.random() < 0.7
+        at = rng.choice(foreign) if fix else rng.randrange(len(typo) + 1)
         edit = rng.choice(("sub", "ins", "del")) if at < len(typo) else "ins"
         ch = rng.choice(letters[i])
         word = {
@@ -768,6 +813,9 @@ def rescue_cases(draw):
         }[edit]
         if word:
             lexicons[i][word] = rng.randint(1, 5)
+    if rng.random() < 0.15:  # the screen deletes every letter a typo holds
+        for lexicon in lexicons:
+            lexicon["abcdefghyz"] = 1
     packs = []
     for i, (alpha, lexicon) in enumerate(zip(letters, lexicons)):
         alphabet = Alphabet((" ", *alpha))

@@ -346,9 +346,12 @@ class TestErrorPaths:
             (b"\x03\x00abc", b"\x00\x00", "empty word"),  # lexicon word
             # the language code, after the u16 version and its u16 length
             (b"\x01\x00\x02\x00xx", b"\x01\x00\x02\x00x\xff", "not UTF-8"),
+            # the same code cut to length 0, which the writer refuses too
+            (b"\x01\x00\x02\x00xx", b"\x01\x00\x00\x00", "no language code"),
             (b"\x06\x00hagrid", b"\x06\x00hagrid\x00", "unparsed bytes at end of payload"),
         ],
-        ids=["bad-utf8", "repeated-space", "empty-word", "bad-utf8-header", "unparsed-bytes"],
+        ids=["bad-utf8", "repeated-space", "empty-word", "bad-utf8-header", "empty-language",
+             "unparsed-bytes"],
     )
     def test_invalid_field_value(self, sample_inputs, tmp_path, old, new, message):
         path = self.write_sample(sample_inputs, tmp_path)

@@ -94,6 +94,8 @@ def test_two_recordings_of_one_checkout_count_the_same_work():
     # a search finds a candidate only among the probes that hit
     searches = first["localised searches"] + first["whole-lexicon searches"]
     assert 0 < first["rescues"] <= first["searches with a candidate"] <= searches
+    # a rescue scans a lexicon for where an edit must fall before searching it
+    assert searches <= first["span scans"]
     assert first["searches with a candidate"] <= first["probes that hit"] <= first["probes made"]
     # a walk reads an entry per pack and letter, at least one
     assert first["table reads"] >= first["full walks"] > 0
@@ -104,7 +106,8 @@ def test_two_recordings_of_one_checkout_count_the_same_work():
 def test_a_change_that_adds_a_search_is_reported(tmp_path):
     """A copy of the checkout whose `detect` also searches one lexicon for
     a word of its own decides the same, and the table shows each added
-    whole-lexicon search, its candidate and the probes it makes."""
+    whole-lexicon search, the span scan it makes, its candidate and the
+    probes it makes."""
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     shutil.copytree(ROOT / "ldebench", tmp_path / "ldebench",
@@ -125,13 +128,14 @@ def test_a_change_that_adds_a_search_is_reported(tmp_path):
     lines = done.stdout.splitlines()
     assert lines[0] == "cold-10 seed 3: 10 packs, 5000 calls, identical"
     rows = count_rows(lines[2:])
-    # a lexicon word has no bad triple: its search covers the whole lexicon
-    # and finds at least the word itself among its probes
+    # a lexicon word has no bad triple: its search, given no span, scans
+    # for one, covers the whole lexicon and finds at least the word itself
+    # among its probes
     marked = {name: row for name, row in rows.items() if row[2]}
-    assert marked.keys() == {"whole-lexicon searches", "searches with a candidate",
-                             "probes made", "probes that hit"}
-    assert marked["whole-lexicon searches"] == marked["searches with a candidate"] == (
-        0, 5000, "+5000")
+    assert marked.keys() == {"span scans", "whole-lexicon searches",
+                             "searches with a candidate", "probes made", "probes that hit"}
+    assert (marked["span scans"] == marked["whole-lexicon searches"]
+            == marked["searches with a candidate"] == (0, 5000, "+5000"))
     for name in ("probes made", "probes that hit"):
         before, after, diff = marked[name]
         assert before == 0 and after > 0 and after % 5000 == 0 and diff == f"+{after}"

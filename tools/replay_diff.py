@@ -16,8 +16,9 @@ checked this way on each workload.
 
 The subprocess also counts the work the replay does, by wrapping the
 functions detection reaches (nothing is added to lde's objects), each
-call weighed by its arguments and its result: typo rescue's bound
-evaluations (`lde.engine.edit1_gain_bound`), its edit-1 searches
+call weighed by its arguments and its result: typo rescue's span scans
+(`Trie.edit_span`, however it is reached), its bound evaluations
+(`lde.engine.edit1_gain_bound`), its edit-1 searches
 (`Trie.edit1_candidates`), localised or over the whole lexicon (`span`
 is `ANYWHERE`), those that found a candidate and the distinct probes
 that are lexicon words, the probes made (the strings `Trie.probes`
@@ -45,7 +46,7 @@ from pathlib import Path
 # how many mismatched calls are printed
 SHOW = 10
 # the work counts, in the order they are printed
-COUNTED = ("bound evaluations", "localised searches", "whole-lexicon searches",
+COUNTED = ("span scans", "bound evaluations", "localised searches", "whole-lexicon searches",
            "searches with a candidate", "probes made", "probes that hit", "full walks",
            "table reads", "one-letter extensions", "cache hits", "rescue attempts", "rescues")
 
@@ -108,21 +109,25 @@ def record(root: Path, workload: str, seed: int, out_dir: Path) -> None:
                       for path in work.pack_paths}))
     engine = Engine([read_pack(path) for path in work.pack_paths],
                     EngineConfig(languages=work.languages))
-    probes = Trie.probes  # unwrapped: counting a search's hits makes no probe
+    # unwrapped: weighing a search makes no probe and no span scan
+    probes, scan = Trie.probes, Trie.edit_span
 
     # a search passes `span` by keyword; an older `edit1_candidates` took a
     # result cap as well, which `**_` takes, so a parent checkout replays too
     def whole(result, trie, word, span=None, **_) -> int:
-        return (trie.edit_span(word) if span is None else span) is ANYWHERE
+        return (scan(trie, word) if span is None else span) is ANYWHERE
 
     def localised(*call, **kwargs) -> int:
         return 1 - whole(*call, **kwargs)
 
     def hits(result, trie, word, span=None, **_) -> int:
+        if span is None and (span := scan(trie, word)) is None:
+            return 0
         return sum(probe in trie for probe in set(probes(trie, word, span)))
 
     counts = Counter(dict.fromkeys(COUNTED, 0))
     for owner, attr, tallies in (
+        (Trie, "edit_span", {"span scans": each_call}),
         (lde.engine, "edit1_gain_bound", {"bound evaluations": each_call}),
         (Trie, "edit1_candidates", {"localised searches": localised,
                                     "whole-lexicon searches": whole,
