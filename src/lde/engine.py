@@ -9,12 +9,14 @@ word list, and the trailing context window is sliced off what is left
 context with its recency-weighted trigram model minus its threshold: one
 flat loop (`ngram.context_log_probs`) walks every token through every
 pack's table, with no call per pack or per word, using recency weights
-and weight masses computed once per engine for each context length, and
-the exact letter index per pack that the engine builds once over the
-union of its packs' alphabets (`ngram.scoring_views`).  It
-gives each pack two parts, the weighted total of every word but the
-last (the head) and the last word's log-probability (the last), and a
-session's state keeps the parts of the context it last scored.  While a
+and weight masses computed once per engine for each context length, the
+exact letter index per pack that the engine builds once over the union
+of its packs' alphabets, and one shift list per alphabet size, which
+moves a table index on by a letter in one list read
+(`ngram.scoring_views`).  It gives each pack two parts, the weighted
+total of every word but the last (the head) and the last word's
+log-probability (the last), and a session's state keeps the parts of
+the context it last scored.  While a
 word is typed, each keystroke gives that context with one more letter on
 its last word, so each pack keeps its head and adds one trigram term to
 its last (`ngram.extended_log_probs`) instead of walking the context

@@ -221,34 +221,40 @@ def recency_weights(r: float, n: int) -> tuple[list[float], float]:
 
 
 # what `context_log_probs` reads of one model: (table, side, letter index,
-# stand-in).  The index maps each letter of the models scored together, and
-# the stand-in, a code point in no alphabet, to this model's symbol index or
-# oov slot.  Views walked together come from one `scoring_views` call.
-ScoringView = tuple[list[float], int, dict[str, int], str]
+# stand-in, shift list).  The index maps each letter of the models scored
+# together, and the stand-in, a code point in no alphabet, to this model's
+# symbol index or oov slot.  The shift list maps a flat index i of a side-v
+# table to i % (v * v) * v: the index less its oldest symbol, shifted one
+# slot.  Views walked together come from one `scoring_views` call.
+ScoringView = tuple[list[float], int, dict[str, int], str, list[int]]
 
 
 def scoring_views(models: Sequence[TrigramModel]) -> tuple[ScoringView, ...]:
     """One view per model, each with an exact letter index over the union
-    of the models' alphabets.
+    of the models' alphabets and its side's shift list.
 
     The stand-in is the lowest code point in no alphabet, not a fixed
-    `"\\0"`, which an alphabet may hold.  Taken once per engine.
+    `"\\0"`, which an alphabet may hold.  Views of one side share one
+    shift list, v³ pointers to v² ints: per engine, one list per distinct
+    alphabet size.  Taken once per engine.
     """
     letters = sorted({ch for model in models for ch in model.alphabet.symbols})
     stand_in = next(chr(c) for c in count() if chr(c) not in letters)
+    sides = {model.alphabet.size for model in models}
+    shifts = {v: [k * v for k in range(v * v)] * v for v in sides}
     views = []
     for model in models:
         alphabet = model.alphabet
         index = dict.fromkeys([*letters, stand_in], alphabet.oov)
         index.update((ch, i) for i, ch in enumerate(alphabet.symbols))
-        views.append((model.table, alphabet.size, index, stand_in))
+        views.append((model.table, alphabet.size, index, stand_in, shifts[alphabet.size]))
     return tuple(views)
 
 
 def _known(view: ScoringView, word: str) -> str:
     """`word` with every letter the view's index lacks, which is in no
     alphabet and so read as oov by every model, replaced by its stand-in."""
-    _, _, index, stand_in = view
+    _, _, index, stand_in, _ = view
     return "".join(ch if ch in index else stand_in for ch in word)
 
 
@@ -267,28 +273,29 @@ def context_log_probs(
     at once, with no call per pack or per word.  The weights are not checked
     against `words` or against r's range.
 
-    A letter's flat table index is the one before it less its oldest
-    symbol (modulo v * v), times v, plus the letter's.  A letter in no
-    alphabet raises `KeyError`, and the walk starts again with every such
-    letter replaced by the stand-in, so the common path checks nothing.
+    A letter's flat table index is the view's shift of the one before it
+    (that index less its oldest symbol, times v) plus the letter's: two
+    list reads and an add.  A letter in no alphabet raises `KeyError`, and
+    the walk starts again with every such letter replaced by the stand-in,
+    so the common path checks nothing.
     """
     if not words or "" in words:
         raise ValueError("empty sequence or token")
-    weighted = tuple(zip(weights, words))
     heads = []
     lasts = []
     try:
-        for table, v, index, _ in views:
-            vv = v * v
-            total = 0.0
-            for weight, word in weighted:
-                head = total
+        for table, _, index, _, shift in views:
+            head = word_total = 0.0
+            k = -1
+            for word in words:
+                if k >= 0:  # the word before this one is not the last
+                    head += weights[k] * word_total
+                k += 1
                 word_total = 0.0
                 idx = 0  # (space, space): a word's first letter follows a space
                 for ch in word:
-                    idx = idx % vv * v + index[ch]
+                    idx = shift[idx] + index[ch]
                     word_total += table[idx]
-                total += weight * word_total
             heads.append(head)
             lasts.append(word_total)
     except KeyError:
@@ -312,7 +319,7 @@ def extended_log_probs(
     try:
         return [
             lp + table[(index[prev2] * v + index[prev1]) * v + index[ch]]
-            for (table, v, index, _), lp in zip(views, lasts)
+            for (table, v, index, _, _), lp in zip(views, lasts)
         ]
     except KeyError:
         return extended_log_probs(views, lasts, _known(views[0], prev2 + prev1 + ch))
@@ -357,7 +364,7 @@ def edit1_gain_bound(view: ScoringView, maxima: Maxima, word: str) -> float:
     weight mass stays below `LOG_HALF` by more than 1e-9, which covers
     that and the rounding of the context scores, about 1e-12 each.
     """
-    table, v, index, _ = view
+    table, v, index, _, _ = view
     over_last, over_middle, over_first = maxima
     n = len(word)
     try:

@@ -42,7 +42,7 @@ _LINES = st.text(
 )
 
 
-class TestNormalizeText:
+class TestStripSymbols:
     """The front end, `strip_symbols`, as training reads text."""
 
     def test_case_and_collapse(self):
@@ -330,6 +330,12 @@ def view_sets(draw):
     return models, draw(st.lists(word, min_size=1, max_size=4))
 
 
+def _flat_model(*letters):
+    """A model over `letters` whose every table entry is 0."""
+    alphabet = Alphabet((" ", *letters))
+    return TrigramModel("xx", alphabet, [0.0] * alphabet.size**3, 0.5)
+
+
 class TestScoringViews:
     @settings(max_examples=300, deadline=None)
     @given(case=view_sets(), r=st.floats(0.0, 1.0, exclude_min=True))
@@ -351,17 +357,24 @@ class TestScoringViews:
             assert lp == ext == walk_log_prob(model, [last])
 
     def test_the_stand_in_is_the_lowest_code_point_in_no_alphabet(self):
-        def model(*letters):
-            alphabet = Alphabet((" ", *letters))
-            return TrigramModel("xx", alphabet, [0.0] * alphabet.size**3, 0.5)
-
-        assert {view[3] for view in scoring_views([model("a"), model("b")])} == {"\0"}
-        views = scoring_views([model("\0", "\x01", "a"), model("b", "\x03")])
+        assert {view[3] for view in scoring_views([_flat_model("a"), _flat_model("b")])} == {"\0"}
+        views = scoring_views([_flat_model("\0", "\x01", "a"), _flat_model("b", "\x03")])
         assert {view[3] for view in views} == {"\x02"}
         # every view indexes the same letters, each at its own model's slot
         assert all(view[2].keys() == views[0][2].keys() for view in views)
         assert [view[2]["b"] for view in views] == [4, 1]
         assert [view[2]["\x02"] for view in views] == [4, 3]
+
+    def test_views_of_one_side_share_one_shift_list(self):
+        """Each alphabet size gets one shift list, shared by every view of
+        that size, mapping a flat index i to i % (v * v) * v."""
+        views = scoring_views([_flat_model(*"ab"), _flat_model(*"cd"), _flat_model(*"abcde"),
+                               _flat_model(*"ce")])
+        shifts = [view[4] for view in views]
+        assert shifts[0] is shifts[1] is shifts[3]
+        assert shifts[2] is not shifts[0] and shifts[2] != shifts[0]
+        for _, v, _, _, shift in views:
+            assert shift == [i % (v * v) * v for i in range(v**3)]
 
 
 class TestTrailingWordDominance:
