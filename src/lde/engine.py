@@ -71,7 +71,8 @@ MAX_CONTEXT_EXTENSION = 4
 class EngineConfig:
     """Tunables for one engine instance.
 
-    `languages` is ordered; the first entry is the primary (layout)
+    `languages` is an ordered sequence of codes, never one `str`; the
+    first entry is the primary (layout)
     language and doubles as the initial session language.  The context
     is the last `context_window` words, extended past words of at most
     `short_token_len` letters up to `max_context_extension` words; these
@@ -85,6 +86,8 @@ class EngineConfig:
     max_context_extension: ClassVar[int] = MAX_CONTEXT_EXTENSION
 
     def __post_init__(self):
+        if isinstance(self.languages, str):  # which `tuple` would split into letters
+            raise ValueError(f"languages {self.languages!r} is one string, not a sequence")
         self.languages = tuple(self.languages)
         if not self.languages:
             raise ValueError("need at least one language")

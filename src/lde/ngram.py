@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import unicodedata
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -162,11 +163,7 @@ def build_alphabet(corpus: Iterable[str], max_symbols: int = DEFAULT_ALPHABET_SI
     `strip_symbols` gives, most frequent first (ties broken by codepoint).
     Everything else maps to oov.
     """
-    counts: dict[str, int] = {}
-    for chunk in corpus:
-        for word in strip_symbols(chunk):
-            for ch in word:
-                counts[ch] = counts.get(ch, 0) + 1
+    counts = Counter(ch for chunk in corpus for word in strip_symbols(chunk) for ch in word)
     if not counts:
         raise ValueError("empty corpus")
     kept = [ch for ch, _ in ranked(counts)[:max_symbols]]

@@ -85,12 +85,16 @@ class LanguagePack:
 
 
 def quantize_table(table: list[float]) -> tuple[float, float, np.ndarray]:
-    """16-bit fixed-point encoding: value = min + q * scale."""
+    """16-bit fixed-point encoding: value = min + q * scale.
+
+    The codes are all zero when the scale is 0 or not finite, so a table
+    holding an inf or a NaN is never cast to an integer; `write_pack`
+    refuses it from the `lo` and `scale` returned.
+    """
     arr = np.asarray(table, dtype=np.float64)
     lo = float(arr.min())
-    hi = float(arr.max())
-    scale = (hi - lo) / 65535.0
-    if scale == 0.0:
+    scale = (float(arr.max()) - lo) / 65535.0
+    if scale == 0.0 or not math.isfinite(scale):
         q = np.zeros(arr.shape, dtype="<u2")
     else:
         q = np.round((arr - lo) / scale).astype("<u2")
@@ -132,23 +136,19 @@ def write_pack(
     """Serialize one language to `path`; returns the measured sizes.
 
     `lexicon` is any word -> weight mapping, read through `.items()`;
-    `proper_nouns` is any iterable of words, a repeat written once.  What
-    `read_pack` would refuse is refused here with `PackError`, before
-    `path` is opened.  Reproducible bit-for-bit from identical inputs: the
-    lexicon and proper-noun sections are written in sorted order and zlib
-    settings are fixed.
+    `proper_nouns` is any iterable of words but one `str`, a repeat written
+    once.  What `read_pack` would refuse is refused here with `PackError`,
+    before `path` is opened.  Reproducible bit-for-bit from identical
+    inputs: the lexicon and proper-noun sections are written in sorted
+    order and zlib settings are fixed.
     """
     _check_language(PackError, model.language)
     if model.language != tau.language:
         raise PackError(
             f"language mismatch: model {model.language!r} vs threshold {tau.language!r}"
         )
-    # checked before quantizing, which would cast a NaN to an integer
-    table = np.asarray(model.table, dtype=np.float64)
-    lo, hi = float(table.min()), float(table.max())
-    _check_finite(PackError, model.alpha, lo, (hi - lo) / 65535.0, tau.tau)
-
-    lo, scale, q = quantize_table(table)
+    lo, scale, q = quantize_table(model.table)
+    _check_finite(PackError, model.alpha, lo, scale, tau.tau)
     table_bytes = q.tobytes()
 
     parts = [struct.pack("<H", FORMAT_VERSION)]
@@ -167,6 +167,8 @@ def write_pack(
             raise PackError(f"lexicon weight {weight} of {word!r} is not a u32")
         parts.append(_pack_str(word) + struct.pack("<I", weight))
 
+    if isinstance(proper_nouns, str):  # which `set` would split into letters
+        raise PackError(f"proper nouns {proper_nouns!r} is one string, not an iterable")
     noun_records = sorted(set(proper_nouns))
     if "" in noun_records:
         raise PackError("empty proper noun")

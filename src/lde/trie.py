@@ -6,7 +6,7 @@ away from a typo.  Words live in a dict from word to weight; candidates
 are generated from the query, in the manner of Norvig's spelling
 corrector, and looked up in that dict.
 
-Only probes that could be words are generated.  A lexicon is fixed once
+Most probes that cannot be words are skipped.  A lexicon is fixed once
 built, and derives when built an exact letter-triple index: for each
 (left, right) pair of symbols, the letters found between them in some
 word.  A symbol is a letter or the lexicon's boundary, a code point no
@@ -19,8 +19,7 @@ replaces every bad triple.  One scan, `Trie.edit_span`, says where it
 must fall: nowhere, anywhere, or over a span.  Typo rescue reads it to
 choose how to search, and `probes` tries only the edits that cover it,
 drawing a substituted or inserted letter from the entry of the two
-symbols around it and trying a deletion only if both triples it forms
-are in the index, so the pruning never drops a candidate.
+symbols around it, so the pruning never drops a candidate.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import sys
 import unicodedata
 from collections import Counter
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, ItemsView, Iterator, Mapping
 
 import numpy as np
 
@@ -70,9 +69,9 @@ class Trie:
     def __iter__(self) -> Iterator[str]:
         return iter(self._weights)
 
-    def items(self) -> Iterator[tuple[str, int]]:
-        """All (word, weight) pairs in lexicographic order."""
-        return iter(sorted(self._weights.items()))
+    def items(self) -> ItemsView[str, int]:
+        """All (word, weight) pairs, in no set order."""
+        return self._weights.items()
 
     def edit_span(self, word: str) -> tuple[int, int] | None:
         """Where one edit of `word` must fall to give a lexicon word.
@@ -107,9 +106,9 @@ class Trie:
         triples g - 1..g.  An edit is tried only if the triples it replaces
         cover `span`, `edit_span(word)` (found here if not given).  A
         substitution or insertion puts in each letter the index holds
-        between the two symbols around it, and a deletion is tried only if
-        both triples it forms are in the index, so every lexicon word one
-        edit from `word` is a probe.
+        between the two symbols around it, and every deletion in reach is
+        tried but that of a one-letter word's only letter, so every lexicon
+        word one edit from `word` is a probe.
         """
         if span is None and (span := self.edit_span(word)) is None:
             return []
@@ -121,16 +120,9 @@ class Trie:
         padded = self._boundary + word + self._boundary
         for i in range(max(last - 1, 0), min(first + 1, n - 1) + 1):
             head, tail = word[:i], word[i + 1 :]
-            left, right = padded[i], padded[i + 2]
-            row = between.get(left, _NO_ROW)
-            for ch in row.get(right, ""):
+            for ch in between.get(padded[i], _NO_ROW).get(padded[i + 2], ""):
                 add(head + ch + tail)
-            # deleting letter i forms the triples centred on `left` and on
-            # `right`, unless that one is the boundary; deleting the only
-            # letter leaves no word
-            if n > 1 and (
-                i == 0 or left in between.get(padded[i - 1], _NO_ROW).get(right, "")
-            ) and (i == n - 1 or right in row.get(padded[i + 3], "")):
+            if n > 1:  # deleting the only letter leaves no word
                 add(head + tail)
         for g in range(max(last, 0), min(first + 1, n) + 1):
             head, tail = word[:g], word[g:]

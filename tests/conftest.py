@@ -41,17 +41,6 @@ settings.register_profile("ci", derandomize=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Independent DP oracle: substitution, insertion, deletion, cost 1."""
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
-
-
 def one_edit(word: str, letters: str):
     """Every non-empty string one deletion, substitution or insertion from
     `word` over `letters`."""

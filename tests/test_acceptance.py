@@ -39,8 +39,9 @@ from lde.ngram import Alphabet, strip_symbols
 from lde.pack import MAGIC
 from lde.synth import LATIN, corpus_lines, make_language
 from lde.trie import Trie, trie_from_pairs
+from ldebench.oracle import levenshtein
 
-from conftest import entry, levenshtein, make_pack, model_from_probs, simple_pack
+from conftest import entry, make_pack, model_from_probs, simple_pack
 
 LOG_HALF = math.log(0.5)
 

@@ -26,7 +26,6 @@ from lde.trie import Trie
 from conftest import (
     full_walk_scores,
     intra_sentences,
-    levenshtein,
     make_pack,
     model_from_probs,
     one_edit,
@@ -167,6 +166,7 @@ class TestEngineConfig:
         [
             {"languages": ()},
             {"languages": ("aa", "aa")},
+            {"languages": "ab"},
             {"languages": ("aa",), "r": 0.0},
             {"languages": ("aa",), "r": 1.5},
         ],
@@ -736,7 +736,7 @@ def reference_detect(engine: Engine, text: str) -> tuple:
         return ("in lexicon", *fallback)
     offers = []
     for lang, pack in engine.packs.items():
-        near = [(-wt, w) for w, wt in pack.lexicon.items() if levenshtein(last, w) <= 1]
+        near = [(-wt, w) for w, wt in pack.lexicon.items() if oracle.levenshtein(last, w) <= 1]
         if near and lang != current:
             offers.append((lang, min(near)[1]))
 

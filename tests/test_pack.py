@@ -155,6 +155,15 @@ class TestRoundTrip:
         with pytest.raises(PackError, match="empty proper noun"):
             write_pack(model, tau, lexicon, tmp_path / "x.ldep", proper_nouns=["hagrid", ""])
 
+    def test_one_string_of_nouns_rejected(self, sample_inputs, tmp_path):
+        # a bare str is an iterable of its letters, so it would write the
+        # nouns "p", "a", "r", "i" and "s"
+        model, tau, lexicon, _ = sample_inputs
+        path = tmp_path / "x.ldep"
+        with pytest.raises(PackError, match="one string"):
+            write_pack(model, tau, lexicon, path, proper_nouns="paris")
+        assert not path.exists()
+
     def test_empty_lexicon_word_rejected(self, sample_inputs, tmp_path):
         model, tau, lexicon, _ = sample_inputs
         path = tmp_path / "x.ldep"
@@ -215,12 +224,14 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("tau", math.nan), ("alpha", math.inf), ("table", -math.inf), ("table", math.inf)],
-        ids=["tau-nan", "alpha-inf", "table-minus-inf", "table-inf"],
+        [("tau", math.nan), ("alpha", math.inf), ("table", -math.inf), ("table", math.inf),
+         ("table", math.nan)],
+        ids=["tau-nan", "alpha-inf", "table-minus-inf", "table-inf", "table-nan"],
     )
     def test_non_finite_field_rejected(self, sample_inputs, tmp_path, field, value):
-        """The writer refuses what `read_pack` would refuse, before it
-        quantizes (no numpy warning) and before it opens the file."""
+        """The writer refuses what `read_pack` would refuse, with no numpy
+        warning (no inf or NaN is cast to an integer) and before it opens
+        the file."""
         model, tau, lexicon, _ = sample_inputs
         if field == "tau":
             tau = Threshold(tau.language, value)

